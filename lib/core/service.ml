@@ -721,32 +721,39 @@ let exec_sessions aux sched w reports plans =
    so eviction, recorder identity and the shared stores never depend on the
    execution geometry. Pre-creates every cond/sync/queue a planned session
    can name, leaving the [aux] tables structurally read-only during
-   (possibly parallel) execution. *)
+   (possibly parallel) execution. The ticket queues and waiter lists are
+   built newest-first (an O(1) cons per arrival) and reversed into FIFO
+   order once the whole fleet is planned. *)
 let plan_fleet t aux specs =
   let w = worker_of t in
-  List.mapi
-    (fun i (spec : client_spec) ->
-      Hashtbl.replace aux.decision_idx spec.client_id i;
-      Metrics.incr t.svc_m Metrics.Svc_sessions;
-      let d = decide t spec in
-      let ctx =
-        match d with
-        | D_record e ->
-          let g = share_group spec in
-          let q = group_queue aux g in
-          q := !q @ [ spec.client_id ];
-          ignore (aux_cond aux.group_conds g);
-          ignore (entry_sync aux e.uid);
-          record_ctx w spec e
-        | D_wait e ->
-          let es = entry_sync aux e.uid in
-          es.e_waiting <- es.e_waiting @ [ spec.client_id ];
-          serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
-        | D_serve e -> serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
-      in
-      register_track w spec ctx;
-      (spec, d, ctx))
-    specs
+  let plans =
+    List.mapi
+      (fun i (spec : client_spec) ->
+        Hashtbl.replace aux.decision_idx spec.client_id i;
+        Metrics.incr t.svc_m Metrics.Svc_sessions;
+        let d = decide t spec in
+        let ctx =
+          match d with
+          | D_record e ->
+            let g = share_group spec in
+            let q = group_queue aux g in
+            q := spec.client_id :: !q;
+            ignore (aux_cond aux.group_conds g);
+            ignore (entry_sync aux e.uid);
+            record_ctx w spec e
+          | D_wait e ->
+            let es = entry_sync aux e.uid in
+            es.e_waiting <- spec.client_id :: es.e_waiting;
+            serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
+          | D_serve e -> serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
+        in
+        register_track w spec ctx;
+        (spec, d, ctx))
+      specs
+  in
+  Hashtbl.iter (fun _ q -> q := List.rev !q) aux.group_queues;
+  Hashtbl.iter (fun _ es -> es.e_waiting <- List.rev es.e_waiting) aux.entry_syncs;
+  plans
 
 (* ---- sharded (domain-parallel) execution ----
 

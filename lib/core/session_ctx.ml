@@ -41,6 +41,29 @@ type t = {
   mutable rollback_s : float;
 }
 
+(* Expanded plans, one per distinct network, shared by every session built
+   on this domain. A plan is immutable (records, lists, strings; the one
+   array, [plan.net.nodes], is never written after construction), so
+   sharing it cannot leak state between sessions. The table is keyed on the
+   network itself — [Hashtbl]'s structural hash and equality — so a
+   structurally different network always gets its own expansion, whatever
+   its name. Domain-local (Par.Dls) like the content memos; bounded by a
+   reset, which only costs re-expansion. *)
+let plan_limit = 64
+
+let plan_key : (Grt_mlfw.Network.t, Grt_mlfw.Network.plan) Hashtbl.t Grt_util.Par.Dls.key =
+  Grt_util.Par.Dls.key (fun () -> Hashtbl.create 16)
+
+let shared_plan net =
+  let plans = Grt_util.Par.Dls.get plan_key in
+  match Hashtbl.find_opt plans net with
+  | Some plan -> plan
+  | None ->
+    let plan = Grt_mlfw.Network.expand net in
+    if Hashtbl.length plans >= plan_limit then Hashtbl.reset plans;
+    Hashtbl.add plans net plan;
+    plan
+
 let create ?(options = default_options) ?clock ~cfg ~profile ~sku ~net ~seed ~granularity () =
   let clock = match clock with Some c -> c | None -> Grt_sim.Clock.create () in
   let energy = Grt_sim.Energy.create clock in
@@ -60,7 +83,7 @@ let create ?(options = default_options) ?clock ~cfg ~profile ~sku ~net ~seed ~gr
     seed;
     sku;
     net;
-    plan = Grt_mlfw.Network.expand net;
+    plan = shared_plan net;
     granularity;
     clock;
     energy;

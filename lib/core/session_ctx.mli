@@ -64,7 +64,10 @@ val create :
   unit ->
   t
 (** Build the session infrastructure: clock, energy, counters/metrics,
-    trace ring, and the link (fault-seeded from [seed]). [options] defaults
+    trace ring, and the link (fault-seeded from [seed]). [plan] is
+    [Grt_mlfw.Network.expand net], expanded once per structurally distinct
+    network on the calling domain and shared (physically) by every context
+    built for it — plans are immutable. [options] defaults
     to {!default_options}; with [observe] unset the default path carries
     [None]s and stays byte-identical to an unobserved build.
 

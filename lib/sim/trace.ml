@@ -53,19 +53,37 @@ type event = { at_ns : int64; payload : payload }
 let topic e = payload_topic e.payload
 let detail e = render e.payload
 
+(* The backing array starts at [initial_slots] and doubles up to [cap] the
+   first time it fills, so a ring that sees few events costs few words.
+   Until it reaches [cap] the array never wraps: events sit at
+   [0 .. next-1] in order. [next] runs up to [Array.length ring]; a full
+   ring wraps it back to 0 on the next push. *)
 type t = {
   clock : Clock.t;
-  ring : event option array;
+  cap : int;
+  mutable ring : event array;
   mutable next : int;
   mutable total : int;
 }
 
+let initial_slots = 16
+let filler = { at_ns = 0L; payload = Message { topic = ""; text = "" } }
+
 let create ?(capacity = 4096) clock =
-  { clock; ring = Array.make (max 1 capacity) None; next = 0; total = 0 }
+  let cap = max 1 capacity in
+  { clock; cap; ring = Array.make (min cap initial_slots) filler; next = 0; total = 0 }
 
 let push t e =
-  t.ring.(t.next) <- Some e;
-  t.next <- (t.next + 1) mod Array.length t.ring;
+  let len = Array.length t.ring in
+  if t.next = len then
+    if len < t.cap then begin
+      let bigger = Array.make (min t.cap (2 * len)) filler in
+      Array.blit t.ring 0 bigger 0 len;
+      t.ring <- bigger
+    end
+    else t.next <- 0;
+  t.ring.(t.next) <- e;
+  t.next <- t.next + 1;
   t.total <- t.total + 1
 
 let event t payload = push t { at_ns = Clock.now_ns t.clock; payload }
@@ -78,21 +96,20 @@ let emit t ~topic text = event t (Message { topic; text })
 
 let emitf t ~topic fmt = Format.kasprintf (fun s -> emit t ~topic s) fmt
 
+let retained t = min t.total t.cap
+
 let recent ?topic:want t n =
-  let cap = Array.length t.ring in
+  let len = Array.length t.ring and kept = retained t in
   let matches e = match want with None -> true | Some w -> String.equal (topic e) w in
   let rec go i collected acc =
-    if collected >= n || i >= cap then List.rev acc
+    if collected >= n || i >= kept then List.rev acc
     else
-      let idx = (t.next - 1 - i + (2 * cap)) mod cap in
-      match t.ring.(idx) with
-      | Some e when matches e -> go (i + 1) (collected + 1) (e :: acc)
-      | Some _ -> go (i + 1) collected acc
-      | None -> List.rev acc
+      let e = t.ring.((t.next - 1 - i + len) mod len) in
+      if matches e then go (i + 1) (collected + 1) (e :: acc) else go (i + 1) collected acc
   in
   go 0 0 []
 
-let all ?topic t = List.rev (recent ?topic t (Array.length t.ring))
+let all ?topic t = List.rev (recent ?topic t t.cap)
 
 let topics t =
   List.fold_left
@@ -102,8 +119,7 @@ let topics t =
     [] (all t)
 
 let count t = t.total
-let retained t = min t.total (Array.length t.ring)
-let capacity t = Array.length t.ring
+let capacity t = t.cap
 
 let pp_event ppf e =
   Format.fprintf ppf "[%8.3f ms] %-12s %s" (Int64.to_float e.at_ns *. 1e-6) (topic e) (detail e)

@@ -49,6 +49,9 @@ val detail : event -> string
 type t
 
 val create : ?capacity:int -> Clock.t -> t
+(** A ring retaining the last [capacity] events (default 4096, at least 1).
+    Storage grows on demand: the backing array starts small and doubles up
+    to [capacity], so a quiet ring stays a few dozen words. *)
 
 val event : t -> payload -> unit
 val event_opt : t option -> payload -> unit
