@@ -285,7 +285,7 @@ let fleet ~enforce () =
           fail "%s: %.0f wall sessions/s below floor %.0f" r.E.fleet_label
             r.E.wall_sessions_per_s fleet_wall_sessions_floor)
       [ d1; d2; d4 ];
-    if Grt_util.Par.parallelism_available && Grt_util.Par.recommended_domains () >= 4 then begin
+    if Grt_util.Par.recommended_domains () >= 4 then begin
       let scaling = d4.E.wall_sessions_per_s /. d1.E.wall_sessions_per_s in
       if scaling < fleet_scaling_floor then
         fail "d4/d1 wall scaling %.2fx below floor %.1fx" scaling fleet_scaling_floor

@@ -2,7 +2,7 @@
    Zipf client population and report fleet-level statistics.
 
      dune exec bin/grt_fleet.exe -- --clients 10000
-     dune exec bin/grt_fleet.exe -- --clients 500 --backend threads --list-cache
+     dune exec bin/grt_fleet.exe -- --clients 500 --domains 2 --list-cache
      dune exec bin/grt_fleet.exe -- --clients 2000 --json fleet.json --cache-out cache.json
 *)
 
@@ -39,19 +39,11 @@ let sequential_arg =
   in
   Arg.(value & flag & info [ "sequential" ] ~doc)
 
-let backend_arg =
-  let doc = "Scheduler backend: effects (OCaml 5) or threads." in
-  Arg.(
-    value
-    & opt (some (enum [ ("effects", `Effects); ("threads", `Threads) ])) None
-    & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
 let domains_arg =
   let doc =
     "Shard the fleet by share group across $(docv) OCaml domains, one \
      virtual-time scheduler per shard (outcomes, blobs and svc.* totals \
-     are identical at any domain count). 1 = single scheduler; on OCaml \
-     4.14 shards run serially."
+     are identical at any domain count). 1 = single scheduler."
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -115,9 +107,14 @@ let write_json path json =
   output_string oc "\n";
   close_out oc
 
-let run clients zipf cache_cap seed interarrival sequential backend domains
-    json_file cache_out list_cache report_file trace_out =
-  if domains < 1 then `Error (false, "--domains must be >= 1")
+let run clients zipf cache_cap seed interarrival sequential domains json_file
+    cache_out list_cache report_file trace_out =
+  if clients < 1 then `Error (false, "--clients must be >= 1")
+  else if cache_cap < 0 then `Error (false, "--cache-cap must be >= 0")
+  else if not (Float.is_finite interarrival && interarrival >= 0.) then
+    `Error (false, "--interarrival must be a finite number >= 0")
+  else if not (Float.is_finite zipf) then `Error (false, "--zipf must be finite")
+  else if domains < 1 then `Error (false, "--domains must be >= 1")
   else
   let options =
     {
@@ -130,7 +127,7 @@ let run clients zipf cache_cap seed interarrival sequential backend domains
   in
   let observe = report_file <> None || trace_out <> None in
   let row, svc =
-    E.fleet ~options ?backend ~sequential ~observe ~cache_capacity:cache_cap
+    E.fleet ~options ~sequential ~observe ~cache_capacity:cache_cap
       ~domains ~now:Unix.gettimeofday ~wall:Unix.gettimeofday ()
   in
   Printf.printf "fleet: %d clients, Zipf(%.2f) over %d NNs x %d SKUs (%s)\n"
@@ -159,7 +156,7 @@ let run clients zipf cache_cap seed interarrival sequential backend domains
     if row.E.fleet_domains > 1 then begin
       Printf.printf "  domains         %6d requested (%s), %.1f sessions/s wall\n"
         row.E.fleet_domains
-        (if row.E.fleet_parallel then "parallel" else "serial fallback")
+        (if row.E.fleet_parallel then "parallel" else "one shard")
         row.E.wall_sessions_per_s;
       List.iter
         (fun (s : Service.shard_stat) ->
@@ -223,7 +220,7 @@ let cmd =
     Term.(
       ret
         (const run $ clients_arg $ zipf_arg $ cache_cap_arg $ seed_arg
-       $ interarrival_arg $ sequential_arg $ backend_arg $ domains_arg
+       $ interarrival_arg $ sequential_arg $ domains_arg
        $ json_arg $ cache_out_arg $ list_cache_arg $ report_arg
        $ trace_out_arg))
 

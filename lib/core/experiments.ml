@@ -709,7 +709,7 @@ let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
    host cost and scheduler stats. *)
 
 type fleet_row = {
-  fleet_label : string;  (* "sequential", "multiplexed/<backend>", "parallel/<backend>/d<N>" *)
+  fleet_label : string;  (* "sequential", "multiplexed", "parallel/d<N>" *)
   fleet_clients : int;
   distinct_keys : int;
   fleet_recordings : int;
@@ -741,7 +741,7 @@ let percentile sorted p =
   | 0 -> 0.
   | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
-let fleet ?(options = Service.default_fleet) ?backend ?(sequential = false)
+let fleet ?(options = Service.default_fleet) ?(sequential = false)
     ?(observe = false) ?(cache_capacity = 0) ?(domains = 1) ?(now = Sys.time)
     ?wall () =
   let wall = match wall with Some w -> w | None -> now in
@@ -749,7 +749,7 @@ let fleet ?(options = Service.default_fleet) ?backend ?(sequential = false)
   let svc = Service.create ~cache_capacity () in
   let t0 = now () in
   let w0 = wall () in
-  let reports, rs = Service.run ?backend ~sequential ~observe ~domains svc specs in
+  let reports, rs = Service.run ~sequential ~observe ~domains svc specs in
   let host_wall_s = Float.max (wall () -. w0) 1e-9 in
   let host_s = Float.max (now () -. t0) 1e-9 in
   let st = Service.stats svc in
@@ -767,13 +767,9 @@ let fleet ?(options = Service.default_fleet) ?backend ?(sequential = false)
   let row =
     {
       fleet_label =
-        (match (rs.Service.rs_mode, rs.Service.rs_backend) with
-        | "sequential", _ -> "sequential"
-        | mode, backend ->
-          let b = Option.value ~default:"?" backend in
-          if rs.Service.rs_domains > 1 then
-            Printf.sprintf "%s/%s/d%d" mode b rs.Service.rs_domains
-          else mode ^ "/" ^ b);
+        (if rs.Service.rs_domains > 1 then
+           Printf.sprintf "%s/d%d" rs.Service.rs_mode rs.Service.rs_domains
+         else rs.Service.rs_mode);
       fleet_clients = st.Service.sessions;
       distinct_keys = List.length (Service.cache_listing svc);
       fleet_recordings = st.Service.recordings;

@@ -173,8 +173,7 @@ val memsync_workload : ctx -> net:Grt_mlfw.Network.t -> memsync_workload_row lis
     wire traffic) and differ only in host cost and scheduler stats. *)
 type fleet_row = {
   fleet_label : string;
-      (** ["sequential"], ["multiplexed/<backend>"] or
-          ["parallel/<backend>/d<N>"] *)
+      (** ["sequential"], ["multiplexed"] or ["parallel/d<N>"] *)
   fleet_clients : int;
   distinct_keys : int;  (** distinct cache keys the population hit *)
   fleet_recordings : int;
@@ -207,7 +206,6 @@ type fleet_row = {
 
 val fleet :
   ?options:Service.fleet_options ->
-  ?backend:Grt_sim.Sched.backend ->
   ?sequential:bool ->
   ?observe:bool ->
   ?cache_capacity:int ->

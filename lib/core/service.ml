@@ -861,7 +861,7 @@ let merge_shard t sh =
     merge_keyed o.obs_key_turnaround wo.obs_key_turnaround
   | _ -> ()
 
-let run_multiplexed ?backend ~domains t specs =
+let run_multiplexed ~domains t specs =
   let aux =
     {
       entry_syncs = Hashtbl.create 64;
@@ -875,7 +875,7 @@ let run_multiplexed ?backend ~domains t specs =
     if domains <= 1 then begin
       (* Identity plane on a single scheduler: byte-identical to the
          pre-sharding code path, with nothing to merge. *)
-      let sched = Sched.create ?backend () in
+      let sched = Sched.create () in
       observe_switches sched t.obs;
       let sh =
         {
@@ -893,7 +893,7 @@ let run_multiplexed ?backend ~domains t specs =
       let parts = shard_plans ~domains plans in
       let observing = t.obs <> None in
       let mk plans_k =
-        let sched = Sched.create ?backend () in
+        let sched = Sched.create () in
         let c = Counters.create () in
         let w_clock = Clock.create () in
         let w =
@@ -916,13 +916,12 @@ let run_multiplexed ?backend ~domains t specs =
         }
       in
       let shards = Array.map mk parts in
-      (* Run the shards (across domains when the compiler has them); each
-         returns its domain-local memo-cache profile, exported on the
-         domain that owns the tables. Export only when shards really run
-         on spawned domains — on the serial fallback (4.14, or a single
-         shard) they execute on the calling domain and already count into
-         its cells, so absorbing an export would double-count. *)
-      let exported = Grt_util.Par.parallelism_available && Array.length parts > 1 in
+      (* Run the shards across domains; each returns its domain-local
+         memo-cache profile, exported on the domain that owns the tables.
+         Export only when shards really run on spawned domains — a lone
+         shard executes on the calling domain and already counts into its
+         cells, so absorbing an export would double-count. *)
+      let exported = Array.length parts > 1 in
       let memo =
         Grt_util.Par.run_shards
           (fun k plans_k ->
@@ -984,14 +983,13 @@ type run_stats = {
   rs_mode : string;  (* "sequential" | "multiplexed" | "parallel" *)
   rs_domains : int;  (* domains requested (1 for sequential/multiplexed) *)
   rs_parallel : bool;  (* shards actually ran on separate domains *)
-  rs_backend : string option;  (* scheduler engine; [None] for sequential *)
   rs_virtual_ns : int64;  (* fleet makespan on the virtual timeline *)
   rs_yields : int;
   rs_switches : int;
   rs_shards : shard_stat list;  (* one row per executed shard *)
 }
 
-let run ?backend ?(sequential = false) ?(observe = false) ?(domains = 1) t specs =
+let run ?(sequential = false) ?(observe = false) ?(domains = 1) t specs =
   if domains < 1 then invalid_arg "Service.run: domains must be >= 1";
   t.run_epoch <- t.run_epoch + 1;
   t.obs <- (if observe then Some (new_observation t) else None);
@@ -1020,7 +1018,6 @@ let run ?backend ?(sequential = false) ?(observe = false) ?(domains = 1) t specs
           rs_mode = "sequential";
           rs_domains = 1;
           rs_parallel = false;
-          rs_backend = None;
           rs_virtual_ns = virtual_ns;
           rs_yields = 0;
           rs_switches = 0;
@@ -1028,12 +1025,7 @@ let run ?backend ?(sequential = false) ?(observe = false) ?(domains = 1) t specs
         } )
     end
     else begin
-      let reports, shards = run_multiplexed ?backend ~domains t specs in
-      let backend_name =
-        match shards with
-        | sh :: _ -> Sched.backend_name (Sched.backend sh.sh_sched)
-        | [] -> Sched.backend_name Sched.default_backend
-      in
+      let reports, shards = run_multiplexed ~domains t specs in
       let shard_stats =
         List.mapi
           (fun i sh ->
@@ -1050,8 +1042,7 @@ let run ?backend ?(sequential = false) ?(observe = false) ?(domains = 1) t specs
         {
           rs_mode = (if domains > 1 then "parallel" else "multiplexed");
           rs_domains = domains;
-          rs_parallel = domains > 1 && Grt_util.Par.parallelism_available && List.length shards > 1;
-          rs_backend = Some backend_name;
+          rs_parallel = domains > 1 && List.length shards > 1;
           rs_virtual_ns =
             List.fold_left
               (fun acc sh ->
@@ -1180,6 +1171,9 @@ let default_fleet =
 let zipf_fleet (o : fleet_options) =
   if o.clients <= 0 then invalid_arg "Service.zipf_fleet: clients must be positive";
   if o.nets = [] || o.skus = [] then invalid_arg "Service.zipf_fleet: empty catalog";
+  if not (Float.is_finite o.mean_interarrival_s && o.mean_interarrival_s >= 0.) then
+    invalid_arg "Service.zipf_fleet: mean_interarrival_s must be finite and >= 0";
+  if not (Float.is_finite o.zipf_s) then invalid_arg "Service.zipf_fleet: zipf_s must be finite";
   let rng = Grt_util.Rng.create ~seed:o.fleet_seed in
   let pairs =
     Array.of_list (List.concat_map (fun n -> List.map (fun s -> (n, s)) o.skus) o.nets)

@@ -96,9 +96,8 @@ type run_stats = {
   rs_mode : string;  (** ["sequential"], ["multiplexed"] or ["parallel"] *)
   rs_domains : int;  (** domains requested (1 unless mode is parallel) *)
   rs_parallel : bool;
-      (** the shards actually ran on separate domains — [false] on 4.14's
-          serial fallback or when only one shard materialized *)
-  rs_backend : string option;  (** scheduler engine; [None] for sequential *)
+      (** the shards actually ran on separate domains — [false] when only
+          one shard materialized *)
   rs_virtual_ns : int64;  (** fleet makespan on the virtual timeline *)
   rs_yields : int;  (** task suspensions, summed over shards *)
   rs_switches : int;  (** task resumptions, summed over shards *)
@@ -106,7 +105,6 @@ type run_stats = {
 }
 
 val run :
-  ?backend:Grt_sim.Sched.backend ->
   ?sequential:bool ->
   ?observe:bool ->
   ?domains:int ->
@@ -127,8 +125,7 @@ val run :
     shard, and the per-domain planes are folded back in deterministic
     shard order — so outcomes, signed blobs, per-session counters and
     every [svc.*] total are identical to [~domains:1] (the qcheck fleet
-    property pins this). On OCaml 4.14 the shards run serially with the
-    same observable results. Raises [Invalid_argument] when [domains < 1].
+    property pins this). Raises [Invalid_argument] when [domains < 1].
 
     [observe] (default false) turns on the fleet observability plane for
     this run: per-session span tracers (one Perfetto track each, see
@@ -240,4 +237,6 @@ val default_fleet : fleet_options
 val zipf_fleet : fleet_options -> client_spec list
 (** Deterministic fleet generation from [fleet_seed]: Zipf-popular
     (net, sku) picks, a WiFi-heavy profile mix with optional degradation,
-    exponential interarrivals. *)
+    exponential interarrivals. Raises [Invalid_argument] on a non-positive
+    [clients], an empty catalog, a negative or non-finite
+    [mean_interarrival_s], or a non-finite [zipf_s]. *)

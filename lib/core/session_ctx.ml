@@ -47,15 +47,15 @@ type t = {
    sharing it cannot leak state between sessions. The table is keyed on the
    network itself — [Hashtbl]'s structural hash and equality — so a
    structurally different network always gets its own expansion, whatever
-   its name. Domain-local (Par.Dls) like the content memos; bounded by a
+   its name. Domain-local (Domain.DLS) like the content memos; bounded by a
    reset, which only costs re-expansion. *)
 let plan_limit = 64
 
-let plan_key : (Grt_mlfw.Network.t, Grt_mlfw.Network.plan) Hashtbl.t Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> Hashtbl.create 16)
+let plan_key : (Grt_mlfw.Network.t, Grt_mlfw.Network.plan) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
 let shared_plan net =
-  let plans = Grt_util.Par.Dls.get plan_key in
+  let plans = Domain.DLS.get plan_key in
   match Hashtbl.find_opt plans net with
   | Some plan -> plan
   | None ->

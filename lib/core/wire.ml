@@ -12,11 +12,11 @@ exception Need_drain
    hash-table this replaces. *)
 (* Domain-local: the scratch is mutated in place on every commit, so
    parallel fleet shards each get their own. *)
-let scratch_ids_key : int array ref Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> ref (Array.make 64 0))
+let scratch_ids_key : int array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref (Array.make 64 0))
 
 let to_wire queue =
-  let scratch_ids = Grt_util.Par.Dls.get scratch_ids_key in
+  let scratch_ids = Domain.DLS.get scratch_ids_key in
   let n_reads = ref 0 in
   List.iter
     (function
@@ -67,9 +67,9 @@ let read_syms queue =
    the exact key string under a cheap native-int hash of the same
    (fn, trigger, access-signature) triple; the key is a pure function of
    the triple, so the memo is shared by every caller — per domain
-   (Par.Dls), which keeps parallel fleet shards off each other's table. *)
-let site_memo_key : (int, string) Hashtbl.t Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> Hashtbl.create 256)
+   (Domain.DLS), which keeps parallel fleet shards off each other's table. *)
+let site_memo_key : (int, string) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
 let int_fnv_prime = 0x100000001B3
 
@@ -81,7 +81,7 @@ let fold_string h s =
   !h
 
 let site_key ~fn ~trigger queue =
-  let site_memo = Grt_util.Par.Dls.get site_memo_key in
+  let site_memo = Domain.DLS.get site_memo_key in
   let h = fold_string (fold_string 0x3BF29CE484222325 fn) trigger in
   let h =
     List.fold_left

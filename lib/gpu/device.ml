@@ -360,10 +360,10 @@ let powered_up t =
 (* Domain-local so parallel fleet shards don't race the accumulator; the
    replayer benches that subtract it run single-domain, where one slot sees
    every sample. *)
-let gpu_host_acc_key : float ref Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> ref 0.)
+let gpu_host_acc_key : float ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref 0.)
 
-let gpu_host_acc () = Grt_util.Par.Dls.get gpu_host_acc_key
+let gpu_host_acc () = Domain.DLS.get gpu_host_acc_key
 
 let gpu_host_seconds () = !(gpu_host_acc ())
 

@@ -12,21 +12,59 @@
    always resumes the runnable task with the smallest global time (FIFO on
    ties, by spawn order), so sessions interleave in global virtual-time
    order and the interleaving is a pure function of the task set — no host
-   clocks, no OS scheduling, bit-for-bit reproducible on both coroutine
-   engines. *)
+   clocks, no OS scheduling, bit-for-bit reproducible. *)
 
-type backend = Sched_backend.kind
+(* ---- coroutines on effect handlers ---- *)
 
-let default_backend : backend = Sched_backend.default
-let backend_available = Sched_backend.available
-let backend_name = function `Effects -> "effects" | `Threads -> "threads"
+type status = Yielded | Done | Raised of exn * Printexc.raw_backtrace
+type _ Effect.t += Yield : unit Effect.t
+
+type coro = {
+  mutable k : (unit, status) Effect.Deep.continuation option;
+  mutable started : bool;
+  body : unit -> unit;
+}
+
+(* The deep handler is installed by the first [match_with] and stays in
+   force across every [continue]: a later [Yield] (or the body's return, or
+   an escaping exception) re-enters the same [effc]/[retc]/[exnc] and so
+   becomes the return value of whichever [resume] call was driving. *)
+let resume c =
+  let open Effect.Deep in
+  match c.k with
+  | Some k ->
+    c.k <- None;
+    continue k ()
+  | None ->
+    if c.started then invalid_arg "Sched.resume: coroutine already finished";
+    c.started <- true;
+    match_with
+      (fun () ->
+        c.body ();
+        Done)
+      ()
+      {
+        retc = Fun.id;
+        exnc = (fun e -> Raised (e, Printexc.get_raw_backtrace ()));
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Yield ->
+              Some
+                (fun (k : (a, status) continuation) ->
+                  c.k <- Some k;
+                  Yielded)
+            | _ -> None);
+      }
+
+(* ---- the scheduler ---- *)
 
 type task = {
   id : int;
   name : string;
   clock : Clock.t;
   arrival_ns : int;
-  mutable coro : Sched_backend.t option;
+  mutable coro : coro option;
   mutable st : [ `Ready | `Running | `Blocked | `Done | `Failed of exn * Printexc.raw_backtrace ];
   mutable wake_ns : int;  (* global ns at which the task next becomes runnable *)
 }
@@ -96,7 +134,6 @@ module Heap = struct
 end
 
 type t = {
-  backend : backend;
   heap : Heap.h;
   mutable tasks : task list;  (* newest first *)
   mutable running : task option;
@@ -111,11 +148,8 @@ type t = {
 
 type cond = { mutable waiters : task list (* newest first *) }
 
-let create ?backend () =
-  let backend = match backend with Some b -> b | None -> Sched_backend.default in
-  let backend = if Sched_backend.available backend then backend else Sched_backend.default in
+let create () =
   {
-    backend;
     heap = Heap.create ();
     tasks = [];
     running = None;
@@ -126,7 +160,6 @@ let create ?backend () =
     on_switch = None;
   }
 
-let backend t = t.backend
 let now_ns t = Int64.of_int t.global_ns
 let yields t = t.yields
 let switches t = t.switches
@@ -149,18 +182,17 @@ let spawn t ?(arrival_ns = 0L) ~name ~clock body =
     }
   in
   t.next_id <- t.next_id + 1;
-  let coro =
-    Sched_backend.spawn t.backend (fun yield_coro ->
-        (* Yield points record the task's new global position, then hand
-           control to the run loop. The hook lives exactly as long as the
-           task body so a clock outliving the scheduler is safe. *)
-        Clock.set_yield_hook clock (fun () ->
-            task.wake_ns <- task_global task;
-            t.yields <- t.yields + 1;
-            yield_coro ());
-        Fun.protect ~finally:(fun () -> Clock.clear_yield_hook clock) body)
+  let body () =
+    (* Yield points record the task's new global position, then hand
+       control to the run loop. The hook lives exactly as long as the task
+       body so a clock outliving the scheduler is safe. *)
+    Clock.set_yield_hook clock (fun () ->
+        task.wake_ns <- task_global task;
+        t.yields <- t.yields + 1;
+        Effect.perform Yield);
+    Fun.protect ~finally:(fun () -> Clock.clear_yield_hook clock) body
   in
-  task.coro <- Some coro;
+  task.coro <- Some { k = None; started = false; body };
   t.tasks <- task :: t.tasks;
   Heap.push t.heap task;
   task
@@ -212,18 +244,18 @@ let run t =
         t.running <- Some task;
         t.switches <- t.switches + 1;
         (match t.on_switch with Some f -> f t.heap.Heap.n | None -> ());
-        let status = Sched_backend.resume (Option.get task.coro) in
+        let status = resume (Option.get task.coro) in
         t.running <- None;
         (match status with
-        | Sched_threads.Yielded ->
+        | Yielded ->
           (* [`Blocked] means the task parked itself on a cond mid-yield;
              the signaller will re-queue it. *)
           if task.st = `Running then begin
             task.st <- `Ready;
             Heap.push t.heap task
           end
-        | Sched_threads.Done -> task.st <- `Done
-        | Sched_threads.Raised (e, bt) -> task.st <- `Failed (e, bt))
+        | Done -> task.st <- `Done
+        | Raised (e, bt) -> task.st <- `Failed (e, bt))
       | _ -> ());
       loop ()
   in

@@ -26,13 +26,13 @@ let new_cell () =
 let handles : t list ref = ref []
 let next_id = ref 0
 
-let cells_key : cell array ref Par.Dls.key = Par.Dls.key (fun () -> ref [||])
+let cells_key : cell array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
 
 (* The calling domain's cell for [h], growing this domain's array to cover
    every handle registered so far. After the first growth the lookup is two
    loads and a bounds check — nothing on the memo hot path allocates. *)
 let cell (h : t) =
-  let store = Par.Dls.get cells_key in
+  let store = Domain.DLS.get cells_key in
   let arr = !store in
   if h.id < Array.length arr then arr.(h.id)
   else begin

@@ -11,14 +11,14 @@
     are deliberately outside the virtual clock, the typed {!Metrics} plane
     and every recorded blob, so instrumentation cannot perturb outcomes.
 
-    Cells are *domain-local* (via {!Par.Dls}), matching the memo tables
+    Cells are *domain-local* (via [Domain.DLS]), matching the memo tables
     they profile: each domain counts against its own private caches, so a
     parallel fleet run is race-free by construction. [t] itself is a
     process-wide handle — register at module-initialisation time, before
     any domain is spawned. A worker domain hands its numbers back with
     {!export}; the spawning domain folds them in with {!absorb}, after
-    which {!to_json} reports the whole run. On 4.14 there is one implicit
-    domain and export/absorb degenerate to a copy.
+    which {!to_json} reports the whole run. Only a spawned domain exports:
+    work run on the calling domain already counts into its cells.
 
     - [hits]        full-verification hits ([Bytes.equal] passed)
     - [misses]      lookups that had to recompute (absent or mismatched)

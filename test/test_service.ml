@@ -1,5 +1,5 @@
-(* Multi-session recording service tests: the virtual-time scheduler (both
-   coroutine engines), solo-session identity through the scheduler, the
+(* Multi-session recording service tests: the virtual-time scheduler,
+   solo-session identity through the scheduler, the
    content-addressed recording cache (hits, coalescing, LRU eviction +
    cheap re-record through the shared stores), and the interleaving-
    determinism property — N multiplexed sessions produce exactly the blobs
@@ -19,14 +19,12 @@ module Profile = Grt_net.Profile
 
 let check = Alcotest.check
 
-let backends = List.filter Sched.backend_available [ `Effects; `Threads ]
-
-(* ---- scheduler unit tests, parameterized over the backend ---- *)
+(* ---- scheduler unit tests ---- *)
 
 (* Tasks resume in global virtual-time order (arrival + private clock),
    regardless of spawn order. *)
-let sched_order backend () =
-  let s = Sched.create ~backend () in
+let sched_order () =
+  let s = Sched.create () in
   let log = ref [] in
   let mk name arrival_ns advance_s =
     let clock = Clock.create () in
@@ -51,8 +49,8 @@ let sched_order backend () =
 
 (* await consumes virtual time: the waiter wakes at the signaller's global
    instant, with its private clock advanced to match. *)
-let sched_cond backend () =
-  let s = Sched.create ~backend () in
+let sched_cond () =
+  let s = Sched.create () in
   let cond = Sched.new_cond () in
   let a_clock = Clock.create () in
   let woke_at = ref (-1.0) in
@@ -70,8 +68,8 @@ let sched_cond backend () =
   (* signaller's global time at the signal: 10ms arrival + 20ms burned *)
   check (Alcotest.float 1e-9) "woke at the signal instant" 0.030 !woke_at
 
-let sched_deadlock backend () =
-  let s = Sched.create ~backend () in
+let sched_deadlock () =
+  let s = Sched.create () in
   let cond = Sched.new_cond () in
   let clock = Clock.create () in
   ignore (Sched.spawn s ~name:"stuck" ~clock (fun () -> Sched.await s cond));
@@ -82,8 +80,8 @@ let sched_deadlock backend () =
       Alcotest.failf "wrong deadlock set: %s" (String.concat "," names)
 
 (* A raising task is recorded, not propagated; other tasks finish. *)
-let sched_failure backend () =
-  let s = Sched.create ~backend () in
+let sched_failure () =
+  let s = Sched.create () in
   let finished = ref false in
   let c1 = Clock.create () and c2 = Clock.create () in
   ignore (Sched.spawn s ~name:"bad" ~clock:c1 (fun () -> failwith "boom"));
@@ -97,7 +95,7 @@ let sched_failure backend () =
 (* ---- solo identity: one session under the scheduler is byte-identical
    to the same session run directly (golden preservation) ---- *)
 
-let solo_identity backend () =
+let solo_identity () =
   let seed = 42L in
   let direct =
     Orchestrate.record ~profile:Profile.wifi ~mode:Mode.Ours_mds
@@ -109,7 +107,7 @@ let solo_identity backend () =
       ~seed ~granularity:`Monolithic ()
   in
   let pipeline = Orchestrate.Pipeline.create ctx in
-  let s = Sched.create ~backend () in
+  let s = Sched.create () in
   let result = ref None in
   ignore
     (Sched.spawn s ~name:"solo" ~clock:ctx.Ctx.clock (fun () ->
@@ -182,10 +180,10 @@ let second_client_hits () =
 
 (* Simultaneous same-key arrivals under the scheduler: exactly one records,
    the rest coalesce onto the in-flight recording. *)
-let coalescing backend () =
+let coalescing () =
   let svc = Service.create () in
   let specs = List.init 4 (fun i -> spec ~id:i ~at_ms:i ()) in
-  let reports, _ = Service.run ~backend svc specs in
+  let reports, _ = Service.run svc specs in
   let st = Service.stats svc in
   check Alcotest.int "one recording" 1 st.Service.recordings;
   check Alcotest.int "rest coalesced" 3 st.Service.coalesced;
@@ -231,8 +229,8 @@ let eviction_rerecord () =
       | _ -> Alcotest.fail "expected both MNIST sessions to record")
   | _ -> Alcotest.fail "expected 3 reports"
 
-(* ---- interleaving determinism (qcheck): any small fleet, multiplexed on
-   any available backend, ≡ the same fleet sequential — same outcomes
+(* ---- interleaving determinism (qcheck): any small fleet, multiplexed,
+   ≡ the same fleet sequential — same outcomes
    (coalesced ≡ cache hit), same blob bytes, same per-session counters.
    The generator mixes lossy channels (recordings that genuinely collapse,
    exercising the failure retry hand-off), two mode configs per (net, sku)
@@ -298,8 +296,8 @@ let print_fleet (cap, specs) =
               | None -> "-"))
           specs))
 
-let dump_mismatch backend seq mux =
-  Printf.eprintf "--- %s diverges from sequential ---\n" (Sched.backend_name backend);
+let dump_mismatch seq mux =
+  Printf.eprintf "--- multiplexed diverges from sequential ---\n";
   List.iter2
     (fun (id, o1, b1, c1) (_, o2, b2, c2) ->
       if (o1, b1, c1) <> (o2, b2, c2) then begin
@@ -322,15 +320,10 @@ let interleaving_deterministic =
            Service.run ~sequential:true (Service.create ~cache_capacity:cap ()) specs
          in
          let seq = List.map normalized seq in
-         List.for_all
-           (fun backend ->
-             let mux, _ =
-               Service.run ~backend (Service.create ~cache_capacity:cap ()) specs
-             in
-             let mux = List.map normalized mux in
-             if mux <> seq then dump_mismatch backend seq mux;
-             mux = seq)
-           backends))
+         let mux, _ = Service.run (Service.create ~cache_capacity:cap ()) specs in
+         let mux = List.map normalized mux in
+         if mux <> seq then dump_mismatch seq mux;
+         mux = seq))
 
 (* ---- failure retry hand-off: a lossy first client whose recording
    collapses must not doom later same-key clients. Sequential mode retries
@@ -340,7 +333,7 @@ let interleaving_deterministic =
 
 let lossy = Profile.degrade ~drop_prob:0.75 Profile.wifi
 
-let failed_recording_retries backend () =
+let failed_recording_retries () =
   let specs =
     [
       spec ~id:0 ~profile:lossy ~at_ms:0 ();
@@ -348,18 +341,18 @@ let failed_recording_retries backend () =
       spec ~id:2 ~at_ms:2 ();
     ]
   in
-  let go ?backend ~sequential () =
+  let go ~sequential =
     let svc = Service.create () in
-    let reports, _ = Service.run ?backend ~sequential svc specs in
+    let reports, _ = Service.run ~sequential svc specs in
     (reports, Service.stats svc)
   in
-  let seq, seq_st = go ~sequential:true () in
+  let seq, seq_st = go ~sequential:true in
   check
     Alcotest.(list string)
     "sequential: fail, retry, hit"
     [ "failed"; "recorded"; "cache_hit" ]
     (List.map (fun r -> Service.outcome_name r.Service.outcome) seq);
-  let mux, mux_st = go ~backend ~sequential:false () in
+  let mux, mux_st = go ~sequential:false in
   check
     Alcotest.(list string)
     "multiplexed: fail, promoted waiter records, coalesced"
@@ -455,14 +448,54 @@ let promoted_waiter_across_domains () =
   check Alcotest.int "same failures" st1.Service.failures st4.Service.failures;
   check Alcotest.bool "fleet split across shards" true
     (List.length rs4.Service.rs_shards > 1);
+  check Alcotest.bool "shards ran on separate domains" true rs4.Service.rs_parallel;
   (* three share groups -> at most three shards even with four domains *)
   check Alcotest.int "one shard per share group" 3 (List.length rs4.Service.rs_shards)
+
+(* ---- memo profile of a sharded run: shards on spawned domains export
+   their domain-local memo counters and the caller absorbs them, so every
+   memo sees the same number of lookups (hits + misses) at any domain
+   count. Which lookups hit may differ — each spawned domain starts with
+   empty tables — but the work asked of each memo may not. A one-group
+   fleet at ~domains:2 has a lone shard, run on the calling domain: it
+   already counts into the caller's cells and must not be absorbed
+   twice. ---- *)
+
+let memo_lookups ~domains specs =
+  Grt_util.Memo_stats.reset_counters ();
+  ignore (Service.run ~domains (Service.create ~cache_capacity:4 ()) specs);
+  List.map
+    (fun m ->
+      let s = Grt_util.Memo_stats.snapshot m in
+      (Grt_util.Memo_stats.name m, s.Grt_util.Memo_stats.s_hits + s.Grt_util.Memo_stats.s_misses))
+    (Grt_util.Memo_stats.all ())
+
+let sharded_memo_profile () =
+  let lookups = Alcotest.(list (pair string int)) in
+  let fleet =
+    Service.zipf_fleet
+      {
+        Service.default_fleet with
+        Service.clients = 120;
+        nets = [ Zoo.mnist; Zoo.alexnet ];
+        skus = [ Sku.g71_mp8; Sku.g31_mp2 ];
+      }
+  in
+  let d1 = memo_lookups ~domains:1 fleet in
+  check Alcotest.bool "the fleet exercises the memos" true
+    (List.exists (fun (_, n) -> n > 0) d1);
+  check lookups "d2 lookups = d1" d1 (memo_lookups ~domains:2 fleet);
+  check lookups "d4 lookups = d1" d1 (memo_lookups ~domains:4 fleet);
+  let one_group = List.init 6 (fun i -> spec ~id:i ~at_ms:(i * 20_000) ()) in
+  check lookups "one-group d2 lookups = d1"
+    (memo_lookups ~domains:1 one_group)
+    (memo_lookups ~domains:2 one_group)
 
 (* ---- the observability plane is write-only: same outcomes, same blobs,
    same per-session counters with observe on or off, in both execution
    modes — and the observed run actually collects tracks and samples. ---- *)
 
-let observation_write_only backend () =
+let observation_write_only () =
   let specs =
     [
       spec ~id:0 ~profile:lossy ~at_ms:0 ();
@@ -473,7 +506,7 @@ let observation_write_only backend () =
   in
   let go ~sequential ~observe =
     let svc = Service.create ~cache_capacity:1 () in
-    let reports, _ = Service.run ~backend ~sequential ~observe svc specs in
+    let reports, _ = Service.run ~sequential ~observe svc specs in
     (List.map normalized reports, svc)
   in
   List.iter
@@ -523,6 +556,22 @@ let fleet_generation () =
     specs;
   let top = Hashtbl.fold (fun _ n acc -> max n acc) tbl 0 in
   check Alcotest.bool "Zipf head dominates" true (top > 500 / 30 * 3)
+  ;
+  (* impossible inputs are rejected up front, not run on (or die later) *)
+  let rejects label o =
+    match Service.zipf_fleet o with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+    | exception Invalid_argument _ -> ()
+  in
+  let with_ia mean_interarrival_s = { opts with Service.mean_interarrival_s } in
+  rejects "negative interarrival" (with_ia (-1.));
+  rejects "nan interarrival" (with_ia Float.nan);
+  rejects "infinite interarrival" (with_ia Float.infinity);
+  rejects "nan zipf_s" { opts with Service.zipf_s = Float.nan };
+  rejects "infinite zipf_s" { opts with Service.zipf_s = Float.infinity };
+  rejects "no clients" { opts with Service.clients = 0 };
+  check Alcotest.int "zero interarrival is a burst, not an error" 500
+    (List.length (Service.zipf_fleet (with_ia 0.)))
 
 (* service counters mirror stats *)
 let service_counter_view () =
@@ -539,39 +588,41 @@ let service_counter_view () =
   check Alcotest.int "aggregate includes svc counters" 2
     (Counters.get_int agg "svc.sessions")
 
-let backend_cases name f =
-  List.map
-    (fun b ->
-      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Sched.backend_name b)) `Quick (f b))
-    backends
+(* Cases that drive the scheduler's coroutine engine carry its name. *)
+let engine_case name f = Alcotest.test_case (name ^ " (effects)") `Quick f
 
 let () =
   Alcotest.run "service"
     [
       ( "sched",
-        backend_cases "virtual-time order" sched_order
-        @ backend_cases "cond wait advances to signal time" sched_cond
-        @ backend_cases "deadlock detected" sched_deadlock
-        @ backend_cases "failure isolated" sched_failure );
+        [
+          engine_case "virtual-time order" sched_order;
+          engine_case "cond wait advances to signal time" sched_cond;
+          engine_case "deadlock detected" sched_deadlock;
+          engine_case "failure isolated" sched_failure;
+        ] );
       ( "identity",
-        backend_cases "solo session byte-identical under scheduler" solo_identity
-        @ [ Alcotest.test_case "service recording = direct record of key seed" `Quick
-              recording_matches_direct ] );
+        [
+          engine_case "solo session byte-identical under scheduler" solo_identity;
+          Alcotest.test_case "service recording = direct record of key seed" `Quick
+            recording_matches_direct;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "second client hits" `Quick second_client_hits;
           Alcotest.test_case "eviction + cheap re-record" `Quick eviction_rerecord;
           Alcotest.test_case "service counters + aggregate" `Quick service_counter_view;
-        ]
-        @ backend_cases "simultaneous arrivals coalesce" coalescing
-        @ backend_cases "failed recording promotes a waiter" failed_recording_retries );
+          engine_case "simultaneous arrivals coalesce" coalescing;
+          engine_case "failed recording promotes a waiter" failed_recording_retries;
+        ] );
       ( "determinism",
         [
           interleaving_deterministic;
           domain_parallel_deterministic;
           Alcotest.test_case "promoted waiter across a domain boundary" `Quick
             promoted_waiter_across_domains;
+          Alcotest.test_case "sharded run keeps the memo profile" `Quick sharded_memo_profile;
           Alcotest.test_case "fleet generation" `Quick fleet_generation;
         ] );
-      ("observability", backend_cases "observation is write-only" observation_write_only);
+      ("observability", [ engine_case "observation is write-only" observation_write_only ]);
     ]
