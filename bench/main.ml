@@ -40,6 +40,24 @@ let ceiling_failures : string list ref = ref []
    determinism, scaling) under --enforce-floor; same deferred exit. *)
 let fleet_floor_failures : string list ref = ref []
 
+(* The host a JSON file was measured on: cores, compiler and commit
+   ("-dirty" when the working tree had uncommitted changes). *)
+let host_stamp () =
+  let commit =
+    match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+    | ic ->
+      let c = try input_line ic with End_of_file -> "unknown" in
+      ignore (Unix.close_process_in ic);
+      c
+    | exception Unix.Unix_error _ -> "unknown"
+  in
+  Json.Obj
+    [
+      ("cores", Json.int (Domain.recommended_domain_count ()));
+      ("ocaml_version", Json.Str Sys.ocaml_version);
+      ("commit", Json.Str commit);
+    ]
+
 let add_json key to_json rows = json_rows := !json_rows @ [ (key, Json.Arr (List.map to_json rows)) ]
 
 let fig7 profile label =
@@ -234,6 +252,27 @@ let fleet_semantic_sig (r : E.fleet_row) =
     r.E.spec_cross_hits,
     r.E.sync_cross_hits )
 
+(* Run [f] in a forked child and return its result, so a fleet row's
+   [top_heap_mb] is that row's own peak rather than the high-water mark of
+   every row before it. The parent never spawns a domain, so it may fork. *)
+let in_child (f : unit -> 'a) : 'a =
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    let oc = Unix.out_channel_of_descr wr in
+    (try Marshal.to_channel oc (f ()) []
+     with e -> Printf.eprintf "fleet row failed: %s\n%!" (Printexc.to_string e));
+    close_out_noerr oc;
+    Unix._exit 0
+  | pid ->
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let v = try Some (Marshal.from_channel ic) with End_of_file -> None in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    (match v with Some v -> v | None -> failwith "fleet row: child produced no row")
+
 let fleet ~enforce () =
   hr
     (Printf.sprintf
@@ -241,25 +280,30 @@ let fleet ~enforce () =
        Grt.Service.default_fleet.Grt.Service.clients Grt.Service.default_fleet.Grt.Service.zipf_s
        (List.length Grt.Service.default_fleet.Grt.Service.nets)
        (List.length Grt.Service.default_fleet.Grt.Service.skus));
-  Printf.printf "%-22s %7s %5s %5s %6s %5s %9s %9s %9s %10s %8s %9s %9s\n" "mode"
-    "clients" "keys" "rec" "hits" "fail" "hitrate" "sess/s" "wall s/s" "sync(MB)"
+  Printf.printf "%-22s %7s %5s %5s %6s %5s %9s %9s %9s %8s %10s %8s %9s %9s\n" "mode"
+    "clients" "keys" "rec" "hits" "fail" "hitrate" "sess/s" "wall s/s" "heap(MB)" "sync(MB)"
     "RTTs" "crossS" "crossM";
   let show row =
-    Printf.printf "%-22s %7d %5d %5d %6d %5d %8.1f%% %9.0f %9.0f %10.2f %8d %9d %9d\n%!"
+    Printf.printf "%-22s %7d %5d %5d %6d %5d %8.1f%% %9.0f %9.0f %8.1f %10.2f %8d %9d %9d\n%!"
       row.E.fleet_label row.E.fleet_clients row.E.distinct_keys row.E.fleet_recordings
       (row.E.fleet_cache_hits + row.E.fleet_coalesced)
       row.E.fleet_failures
       (100. *. row.E.fleet_hit_rate)
-      row.E.sessions_per_s row.E.wall_sessions_per_s row.E.fleet_sync_wire_mb
-      row.E.fleet_blocking_rtts row.E.spec_cross_hits row.E.sync_cross_hits;
+      row.E.sessions_per_s row.E.wall_sessions_per_s row.E.fleet_top_heap_mb
+      row.E.fleet_sync_wire_mb row.E.fleet_blocking_rtts row.E.spec_cross_hits
+      row.E.sync_cross_hits;
     row
   in
-  let go ?(sequential = false) ?(domains = 1) () =
+  let go ?(clients = Grt.Service.default_fleet.Grt.Service.clients) ?(sequential = false)
+      ?(domains = 1) () =
+    let options = { Grt.Service.default_fleet with Grt.Service.clients } in
     show
-      (fst
-         (E.fleet ~options:Grt.Service.default_fleet ~sequential ~domains
-            ~wall:Unix.gettimeofday ()))
+      (in_child (fun () ->
+           fst (E.fleet ~options ~sequential ~domains ~wall:Unix.gettimeofday ())))
   in
+  (* A quarter-size multiplexed fleet next to the full one: the top heap
+     should not grow with the client count. *)
+  let quarter = go ~clients:(Grt.Service.default_fleet.Grt.Service.clients / 4) () in
   let d1 = go () in
   let d2 = go ~domains:2 () in
   let d4 = go ~domains:4 () in
@@ -268,7 +312,7 @@ let fleet ~enforce () =
     "  virtual span %.1fs, p95 turnaround %.1fs, %d yields / %d switches, %d shards at d4\n"
     d1.E.virtual_s d1.E.p95_turnaround_s d1.E.fleet_yields d1.E.fleet_switches
     (List.length d4.E.fleet_shards);
-  add_json "fleet" E.fleet_row_json [ d1; d2; d4; seq ];
+  add_json "fleet" E.fleet_row_json [ quarter; d1; d2; d4; seq ];
   if enforce then begin
     let fail fmt = Printf.ksprintf (fun m -> fleet_floor_failures := m :: !fleet_floor_failures) fmt in
     let sig1 = fleet_semantic_sig d1 in
@@ -469,7 +513,7 @@ let () =
   | None -> ()
   | Some path ->
     let oc = open_out path in
-    output_string oc (Json.to_string (Json.Obj !json_rows));
+    output_string oc (Json.to_string (Json.Obj (("host", host_stamp ()) :: !json_rows)));
     output_string oc "\n";
     close_out oc;
     Printf.printf "\nwrote %s (%d tables)\n" path (List.length !json_rows));

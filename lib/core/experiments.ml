@@ -722,6 +722,7 @@ type fleet_row = {
   sessions_per_s : float;  (* clients / host_s *)
   host_wall_s : float;  (* elapsed host time, outside the virtual timeline *)
   wall_sessions_per_s : float;  (* clients / host_wall_s — the scaling metric *)
+  fleet_top_heap_mb : float;  (* process top heap after the run *)
   virtual_s : float;  (* fleet-wide virtual-time span *)
   mean_turnaround_s : float;
   p95_turnaround_s : float;
@@ -782,6 +783,8 @@ let fleet ?(options = Service.default_fleet) ?(sequential = false)
       sessions_per_s = float_of_int st.Service.sessions /. host_s;
       host_wall_s;
       wall_sessions_per_s = float_of_int st.Service.sessions /. host_wall_s;
+      fleet_top_heap_mb =
+        float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6;
       virtual_s = Int64.to_float rs.Service.rs_virtual_ns /. 1e9;
       mean_turnaround_s;
       p95_turnaround_s = percentile turnarounds 0.95;
@@ -1079,6 +1082,7 @@ let fleet_row_json (r : fleet_row) =
       ("sessions_per_s", Json.float r.sessions_per_s);
       ("host_wall_s", Json.float r.host_wall_s);
       ("wall_sessions_per_s", Json.float r.wall_sessions_per_s);
+      ("top_heap_mb", Json.float r.fleet_top_heap_mb);
       ("virtual_s", Json.float r.virtual_s);
       ("mean_turnaround_s", Json.float r.mean_turnaround_s);
       ("p95_turnaround_s", Json.float r.p95_turnaround_s);

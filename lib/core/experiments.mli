@@ -190,6 +190,9 @@ type fleet_row = {
           drops below [host_s] (CPU seconds keep being spent on every
           domain) *)
   wall_sessions_per_s : float;  (** clients / host_wall_s — the scaling metric *)
+  fleet_top_heap_mb : float;
+      (** the process's top heap after the run — the run's own peak only
+          when it is the first heavy work in its process *)
   virtual_s : float;  (** fleet-wide virtual-time span *)
   mean_turnaround_s : float;
   p95_turnaround_s : float;

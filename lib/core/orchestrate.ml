@@ -367,14 +367,13 @@ module Pipeline = struct
 end
 
 (* Serve an already-recorded blob to a fresh client: the attested channel
-   still has to be established and the download + verification still happen
-   — only the dry run is skipped (the service's cache-hit path). *)
+   still has to be established and the blob downloaded — only the dry run
+   is skipped (the service's cache-hit path). The blob was verified once,
+   by the record pipeline that published it; the link moves a byte count,
+   so the bytes themselves never leave the service. *)
 let serve_cached (ctx : Ctx.t) ~blob =
   establish ctx;
-  Link.one_way_to_client ctx.link ~bytes:(Bytes.length blob);
-  match Recording.verify_and_parse ~key:cloud_signing_key blob with
-  | Ok _ -> ()
-  | Error e -> failwith ("client rejected recording: " ^ e)
+  Link.one_way_to_client ctx.link ~bytes:(Bytes.length blob)
 
 let record ?history ?inject_fault_after ?inject_outage_after ?config ?(granularity = `Monolithic)
     ?window ?trace_capacity ?observe ~profile ~mode ~sku ~net ~seed () =

@@ -69,9 +69,11 @@ module Pipeline : sig
 end
 
 val serve_cached : Session_ctx.t -> blob:bytes -> unit
-(** The cache-hit path: establish the attested channel, download the
-    already-signed [blob] over the session's link, and verify it — no dry
-    run. Raises [Failure] if verification fails. *)
+(** The cache-hit path: establish the attested channel and download the
+    already-signed [blob] over the session's link — no dry run and no
+    re-verification. [blob] must be one a record pipeline verified when it
+    was published (the recording service's cache holds only such blobs);
+    only its length is read. *)
 
 val record :
   ?history:Drivershim.history ->

@@ -104,6 +104,15 @@ let add_entry buf = function
         Byte_buf.add_bytes buf body)
       records
 
+(* An element count read off the wire, bounded by what the rest of the
+   input could hold at [min_bytes] per element: a forged count fails as a
+   typed error before anything is allocated for it. *)
+let read_count r ~min_bytes =
+  let n = Byte_buf.Reader.varint r in
+  if n < 0 || n > Byte_buf.Reader.remaining r / min_bytes then
+    failwith "recording: element count exceeds the input";
+  n
+
 let read_entry r =
   match Byte_buf.Reader.u8 r with
   | 1 ->
@@ -131,7 +140,7 @@ let read_entry r =
       failwith (Printf.sprintf "recording: invalid IRQ line %d" line);
     Wait_irq { line }
   | 5 ->
-    let n = Byte_buf.Reader.varint r in
+    let n = read_count r ~min_bytes:9 in
     let pages =
       List.init n (fun _ ->
           let pfn = Byte_buf.Reader.i64 r in
@@ -140,7 +149,7 @@ let read_entry r =
     in
     Mem_load { pages }
   | 6 ->
-    let n = Byte_buf.Reader.varint r in
+    let n = read_count r ~min_bytes:3 in
     let records =
       List.init n (fun _ ->
           let pfn = Int64.of_int (Byte_buf.Reader.varint r) in
@@ -196,9 +205,9 @@ let deserialize data =
     else begin
       let workload = Byte_buf.Reader.string r in
       let gpu_id = Byte_buf.Reader.i64 r in
-      let n_slots = Byte_buf.Reader.varint r in
+      let n_slots = read_count r ~min_bytes:20 in
       let slots = List.init n_slots (fun _ -> read_slot r) in
-      let n_entries = Byte_buf.Reader.varint r in
+      let n_entries = read_count r ~min_bytes:2 in
       let entries = Array.init n_entries (fun _ -> read_entry r) in
       Ok { workload; gpu_id; entries; slots }
     end
@@ -280,15 +289,13 @@ let chunk_bounds ~chunk_entries entries =
   bounds.(n_chunks) <- Byte_buf.length buf;
   (Byte_buf.contents buf, bounds)
 
-(* [sign] and [verify_and_parse] are pure functions of their inputs, and the
-   recording service re-signs (and every client re-verifies) byte-identical
-   logs whenever the same workload is recorded again — the observation
-   behind the service's content-addressed recording cache. Small
-   content-keyed memos therefore short-circuit the work on repeats; a hit
-   is trusted only after comparing the stored input in full, so collisions
-   cannot leak a wrong blob.
+(* [sign] is a pure function of its inputs, and the recording service
+   re-signs byte-identical logs whenever an evicted workload is recorded
+   again. A small content-keyed memo therefore short-circuits the work on
+   repeats; a hit is trusted only after comparing the stored input in
+   full, so collisions cannot leak a wrong blob.
 
-   [sign]'s memo is keyed on the *entry stream* rather than the serialized
+   The memo is keyed on the *entry stream* rather than the serialized
    body, so a hit skips the chunk serialization pass as well as the FNV
    walk: scalar fields mix into the key directly, page payloads via the
    sparse word-sampled hash, and the hit guard is a structural comparison
@@ -463,10 +470,10 @@ let parse_signed ~key blob =
         | 2 ->
           let workload = Byte_buf.Reader.string r in
           let gpu_id = Byte_buf.Reader.i64 r in
-          let n_slots = Byte_buf.Reader.varint r in
+          let n_slots = read_count r ~min_bytes:20 in
           let slots = List.init n_slots (fun _ -> read_slot r) in
           let total_entries = Byte_buf.Reader.varint r in
-          let n_chunks = Byte_buf.Reader.varint r in
+          let n_chunks = read_count r ~min_bytes:10 in
           let metas =
             Array.init n_chunks (fun _ ->
                 let count = Byte_buf.Reader.varint r in
@@ -507,12 +514,7 @@ let parse_signed ~key blob =
 let verify_chunk c =
   Int64.equal (Grt_util.Hashing.fnv1a_bytes c.chunk_raw) c.chunk_hash
 
-let verify_memo_key : (int, bytes * string * (t, string) result) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let verify_stats = Grt_util.Memo_stats.register "recording.verify"
-
-let verify_and_parse_raw ~key blob =
+let verify_and_parse ~key blob =
   match parse_signed ~key blob with
   | Error e -> Error e
   | Ok v ->
@@ -523,43 +525,6 @@ let verify_and_parse_raw ~key blob =
     (match !bad with
     | Some first -> Error (Printf.sprintf "recording: chunk at entry %d failed verification" first)
     | None -> Ok v.vrec)
-
-(* Memoized verification (see the note above [sign]): the verdict on a
-   byte-identical blob under the same key is deterministic, so a repeat
-   verify returns the cached parse. The entry array's spine is copied on a
-   hit — callers are free to patch entries of a parsed recording (the
-   tamper-detection tests do) without poisoning the cache. *)
-let verify_and_parse ~key blob =
-  let verify_memo = Domain.DLS.get verify_memo_key in
-  let memo_key = Grt_util.Hashing.quick_sparse ~seed:(Hashtbl.hash key) blob in
-  match Hashtbl.find_opt verify_memo memo_key with
-  | Some (b, k, res) when String.equal k key && Bytes.equal b blob -> (
-    Grt_util.Memo_stats.hit verify_stats;
-    match res with
-    | Ok r -> Ok { r with entries = Array.copy r.entries }
-    | Error _ as e -> e)
-  | prior ->
-    Grt_util.Memo_stats.miss verify_stats;
-    (match prior with
-    | Some _ -> Grt_util.Memo_stats.mismatch verify_stats
-    | None -> ());
-    let res = verify_and_parse_raw ~key blob in
-    let footprint = Bytes.length blob + String.length key in
-    if Hashtbl.length verify_memo >= memo_cap then begin
-      Grt_util.Memo_stats.evicted verify_stats ~entries:(Hashtbl.length verify_memo);
-      Hashtbl.reset verify_memo
-    end;
-    (match (Hashtbl.mem verify_memo memo_key, prior) with
-    | false, _ -> Grt_util.Memo_stats.added verify_stats ~bytes:footprint
-    | true, Some (b, k, _) ->
-      Grt_util.Memo_stats.replaced verify_stats
-        ~old_bytes:(Bytes.length b + String.length k)
-        ~bytes:footprint
-    | true, None -> ());
-    Hashtbl.replace verify_memo memo_key (Bytes.copy blob, key, res);
-    (match res with
-    | Ok r -> Ok { r with entries = Array.copy r.entries }
-    | Error _ as e -> e)
 
 let size_bytes t = Bytes.length (serialize t)
 

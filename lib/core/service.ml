@@ -13,6 +13,15 @@ module Ctx = Session_ctx
 
 type key = int64
 
+(* Lookup-or-create, for the service's many keyed tables. *)
+let find_or_add tbl k make =
+  match Hashtbl.find_opt tbl k with
+  | Some v -> v
+  | None ->
+    let v = make () in
+    Hashtbl.add tbl k v;
+    v
+
 let runtime_version = Cloudvm.default_image.Cloudvm.image_name
 
 (* ---- cache key derivation ----
@@ -103,6 +112,9 @@ type entry = {
   uid : int;  (* identity for per-run condition variables *)
   keyed : keyed;
   mutable blob : bytes option;
+      (* the service's own copy of the published blob, verified once by the
+         record pipeline that produced it; never handed out, so nothing done
+         to a report's bytes can reach a later serve *)
   mutable inflight : bool;
   mutable last_touch : int;  (* decision sequence number (LRU order) *)
   mutable touch_epoch : int;  (* run counter at the last touch *)
@@ -119,6 +131,7 @@ type entry = {
 type track = {
   track_client : int;
   track_arrival_ns : int64;
+  track_order : int;  (* decision index; [max_int] for a promoted waiter's record track *)
   track_tracer : Tracer.t;
 }
 
@@ -173,7 +186,6 @@ let create ?(cache_capacity = 0) () =
 let service_counters t = t.svc
 let service_trace t = t.svc_trace
 let observation t = t.obs
-let obs_tracer t = match t.obs with Some o -> Some o.obs_tracer | None -> None
 
 (* ---- execution planes ----
 
@@ -207,15 +219,7 @@ let worker_of t =
     w_histories = t.histories;
   }
 
-let tracer_of_obs = function Some o -> Some o.obs_tracer | None -> None
-
-let key_hist tbl label =
-  match Hashtbl.find_opt tbl label with
-  | Some h -> h
-  | None ->
-    let h = Hist.create ~name:label () in
-    Hashtbl.add tbl label h;
-    h
+let key_hist tbl label = find_or_add tbl label (fun () -> Hist.create ~name:label ())
 
 (* Sample a session-local duration (ns so far on the session clock) into a
    fleet series, in µs, plus the per-key table when one is given. *)
@@ -235,17 +239,24 @@ let obs_ttfb w (e : entry) ctx =
     Hist.Svc_ttfb_us
     (Clock.now_ns ctx.Ctx.clock)
 
-let register_track w (spec : client_spec) ctx =
+let register_track w (spec : client_spec) ~order ctx =
   match (w.w_obs, ctx.Ctx.tracer) with
   | Some o, Some tr ->
     o.obs_tracks <-
-      { track_client = spec.client_id; track_arrival_ns = spec.arrival_ns; track_tracer = tr }
+      {
+        track_client = spec.client_id;
+        track_arrival_ns = spec.arrival_ns;
+        track_order = order;
+        track_tracer = tr;
+      }
       :: o.obs_tracks
   | _ -> ()
 
 (* Perfetto lanes: tid 0 is the service plane, client [i] renders on lane
    [i + 1], shifted onto global time by its arrival. A promoted waiter's
-   record-phase tracer registers a second track on the same lane. *)
+   record-phase tracer registers a second track on the same lane. Session
+   tracks are listed in decision order, whenever their sessions started;
+   the promoted waiters' record tracks follow, in registration order. *)
 let fleet_tracks t =
   match t.obs with
   | None -> []
@@ -256,15 +267,15 @@ let fleet_tracks t =
       track_offset_ns = 0L;
       track_tracer = o.obs_tracer;
     }
-    :: List.rev_map
-         (fun tr ->
-           {
-             Tracer.track_tid = tr.track_client + 1;
-             track_name = Printf.sprintf "client-%d" tr.track_client;
-             track_offset_ns = tr.track_arrival_ns;
-             track_tracer = tr.track_tracer;
-           })
-         o.obs_tracks
+    :: (List.rev o.obs_tracks
+       |> List.stable_sort (fun a b -> compare (a.track_order : int) b.track_order)
+       |> List.map (fun tr ->
+              {
+                Tracer.track_tid = tr.track_client + 1;
+                track_name = Printf.sprintf "client-%d" tr.track_client;
+                track_offset_ns = tr.track_arrival_ns;
+                track_tracer = tr.track_tracer;
+              }))
 
 let share_group_of ~(net : Network.t) ~(sku : Sku.t) = net.Network.name ^ "|" ^ sku.Sku.name
 let share_group (spec : client_spec) = share_group_of ~net:spec.net ~sku:spec.sku
@@ -272,24 +283,11 @@ let share_group (spec : client_spec) = share_group_of ~net:spec.net ~sku:spec.sk
 (* Plan-time lookup-or-create; during parallel execution the table is only
    ever *read* (every group a session can name was materialized by its own
    plan pass), so concurrent shards never mutate it. *)
-let history_for w spec =
-  let g = share_group spec in
-  match Hashtbl.find_opt w.w_histories g with
-  | Some h -> h
-  | None ->
-    let h = Spec_history.create () in
-    Hashtbl.add w.w_histories g h;
-    h
+let history_for w spec = find_or_add w.w_histories (share_group spec) Spec_history.create
 
 let keyed_for t key ~label =
-  match Hashtbl.find_opt t.keyed_tbl key with
-  | Some k -> k
-  | None ->
-    let k =
-      { key; label; sync_store = Memsync.Store.create (); hits = 0; recordings = 0; evictions = 0 }
-    in
-    Hashtbl.add t.keyed_tbl key k;
-    k
+  find_or_add t.keyed_tbl key (fun () ->
+      { key; label; sync_store = Memsync.Store.create (); hits = 0; recordings = 0; evictions = 0 })
 
 (* ---- arrival-time decisions ----
 
@@ -336,14 +334,17 @@ let evict_if_full t ~for_client =
       let blob_bytes = match e.blob with Some b -> Bytes.length b | None -> 0 in
       Trace.event t.svc_trace
         (Trace.Evict { label = e.keyed.label; client = for_client; blob_bytes });
-      Tracer.instant_opt (obs_tracer t) ~cat:Tracer.Svc_evict
-        ~args:
-          [
-            ("label", e.keyed.label);
-            ("for", Printf.sprintf "client-%d" for_client);
-            ("blob_bytes", string_of_int blob_bytes);
-          ]
-        "evict"
+      Option.iter
+        (fun o ->
+          Tracer.instant o.obs_tracer ~cat:Tracer.Svc_evict
+            ~args:
+              [
+                ("label", e.keyed.label);
+                ("for", Printf.sprintf "client-%d" for_client);
+                ("blob_bytes", string_of_int blob_bytes);
+              ]
+            "evict")
+        t.obs
     | None -> ()
   end
 
@@ -394,25 +395,31 @@ let decide t (spec : client_spec) =
       Metrics.incr t.svc_m Metrics.Svc_cache_misses;
       D_record e
   in
-  Tracer.instant_opt (obs_tracer t) ~cat:Tracer.Svc_cache_lookup
-    ~args:
-      [
-        ("client", string_of_int spec.client_id);
-        ("key", (decision_entry d).keyed.label);
-        ("decision", decision_name d);
-      ]
-    "cache-lookup";
+  (match t.obs with
+  | Some o ->
+    Tracer.instant o.obs_tracer ~cat:Tracer.Svc_cache_lookup
+      ~args:
+        [
+          ("client", string_of_int spec.client_id);
+          ("key", (decision_entry d).keyed.label);
+          ("decision", decision_name d);
+        ]
+      "cache-lookup"
+  | None -> ());
   d
 
 (* ---- session bodies ----
 
-   The session's context (and so its clock) is built at plan time: under
-   the scheduler the ctx clock is the task clock, so every blocking wait
-   inside the session is a scheduler yield point. *)
+   Under the scheduler a session's clock is created at plan time, because
+   the scheduler needs it at spawn; the rest of its context is built on
+   that clock when the session starts, so only in-flight sessions hold
+   one. The ctx clock is the task clock, so every blocking wait inside the
+   session is a scheduler yield point. *)
 
-let serve_ctx w (spec : client_spec) ~seed =
+let serve_ctx ?clock w (spec : client_spec) (e : entry) =
   let options = { Ctx.default_options with Ctx.observe = w.w_obs <> None } in
-  Ctx.create ~options ~cfg:spec.cfg ~profile:spec.profile ~sku:spec.sku ~net:spec.net ~seed
+  Ctx.create ~options ?clock ~cfg:spec.cfg ~profile:spec.profile ~sku:spec.sku ~net:spec.net
+    ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
     ~granularity:`Monolithic ()
 
 let record_ctx ?clock w (spec : client_spec) (e : entry) =
@@ -428,6 +435,16 @@ let record_ctx ?clock w (spec : client_spec) (e : entry) =
   Ctx.create ~options ?clock ~cfg:spec.cfg ~profile:spec.profile ~sku:spec.sku ~net:spec.net
     ~seed:(recording_seed e.keyed.key) ~granularity:`Monolithic ()
 
+(* Build a starting session's context and register its track. *)
+let start_session ?clock w spec ~order d =
+  let ctx =
+    match d with
+    | D_record e -> record_ctx ?clock w spec e
+    | D_serve e | D_wait e -> serve_ctx ?clock w spec e
+  in
+  register_track w spec ~order ctx;
+  ctx
+
 let report_of ctx (spec : client_spec) (e : entry) outcome ~blob_bytes =
   {
     spec;
@@ -439,14 +456,18 @@ let report_of ctx (spec : client_spec) (e : entry) outcome ~blob_bytes =
     counters = ctx.Ctx.counters;
   }
 
-(* Serve a resident blob over [ctx]: attested establishment + download +
-   verification — everything of a session except the dry run. *)
+(* Serve a resident blob over [ctx]: attested establishment + download —
+   everything of a session except the dry run. The blob was verified when
+   it was published ([record_into]), so a serve does not verify it again. *)
 let serve w spec (e : entry) ctx ~coalesced =
   let blob = Option.get e.blob in
-  Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_serve_cached
-    ~args:[ ("key", e.keyed.label) ]
-    ~name:"serve-cached"
-    (fun () -> Orchestrate.serve_cached ctx ~blob);
+  (match ctx.Ctx.tracer with
+  | Some tr ->
+    Tracer.with_span tr ~cat:Tracer.Svc_serve_cached
+      ~args:[ ("key", e.keyed.label) ]
+      ~name:"serve-cached"
+      (fun () -> Orchestrate.serve_cached ctx ~blob)
+  | None -> Orchestrate.serve_cached ctx ~blob);
   e.keyed.hits <- e.keyed.hits + 1;
   Metrics.incr w.w_svc_m (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
   report_of ctx spec e
@@ -454,7 +475,9 @@ let serve w spec (e : entry) ctx ~coalesced =
     ~blob_bytes:(Bytes.length blob)
 
 (* Record under the key-derived seed and publish the blob into the entry.
-   The caller owns turnstile ordering and completion signalling. *)
+   The pipeline has just verified exactly these bytes; the entry keeps its
+   own copy, because the outcome's blob also goes out in the [Recorded]
+   report. The caller owns turnstile ordering and completion signalling. *)
 let record_into w spec (e : entry) ctx =
   let history = history_for w spec in
   Spec_history.new_epoch history;
@@ -468,7 +491,7 @@ let record_into w spec (e : entry) ctx =
   | outcome ->
     let cross = Spec_history.cross_hits history - cross0 in
     if cross > 0 then Metrics.add ctx.Ctx.metrics Metrics.Spec_cross_hits cross;
-    e.blob <- Some outcome.Orchestrate.blob;
+    e.blob <- Some (Bytes.copy outcome.Orchestrate.blob);
     e.inflight <- false;
     e.keyed.recordings <- e.keyed.recordings + 1;
     Metrics.incr w.w_svc_m Metrics.Svc_recordings;
@@ -501,28 +524,19 @@ let serve_safe w spec (e : entry) ctx ~coalesced =
 
 let run_sequential t specs =
   let w = worker_of t in
-  List.map
-    (fun spec ->
+  List.mapi
+    (fun i spec ->
       Metrics.incr t.svc_m Metrics.Svc_sessions;
-      match decide t spec with
+      let d = decide t spec in
+      let ctx = start_session w spec ~order:i d in
+      match d with
       | D_serve e ->
-        let ctx = serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id) in
-        register_track w spec ctx;
         obs_ttfb w e ctx;
         serve_safe w spec e ctx ~coalesced:false
       | D_record e ->
-        let ctx = record_ctx w spec e in
-        register_track w spec ctx;
         obs_ttfb w e ctx;
         record_into w spec e ctx
-      | D_wait e -> (
-        let ctx = serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id) in
-        register_track w spec ctx;
-        match e.blob with
-        | Some _ ->
-          obs_ttfb w e ctx;
-          serve_safe w spec e ctx ~coalesced:true
-        | None -> fail_report w spec e ctx "recording in flight with no scheduler"))
+      | D_wait e -> fail_report w spec e ctx "recording in flight with no scheduler")
     specs
 
 (* ---- multiplexed execution ----
@@ -561,29 +575,18 @@ type run_aux = {
   decision_idx : (int, int) Hashtbl.t;  (* client id -> plan (decision) order *)
 }
 
-let aux_cond tbl k =
-  match Hashtbl.find_opt tbl k with
-  | Some c -> c
-  | None ->
-    let c = Sched.new_cond () in
-    Hashtbl.add tbl k c;
-    c
+let aux_cond tbl k = find_or_add tbl k Sched.new_cond
 
 let entry_sync aux uid =
-  match Hashtbl.find_opt aux.entry_syncs uid with
-  | Some s -> s
-  | None ->
-    let s = { e_cond = Sched.new_cond (); e_waiting = []; e_elected = None } in
-    Hashtbl.add aux.entry_syncs uid s;
-    s
+  find_or_add aux.entry_syncs uid (fun () ->
+      { e_cond = Sched.new_cond (); e_waiting = []; e_elected = None })
 
-let group_queue aux g =
-  match Hashtbl.find_opt aux.group_queues g with
-  | Some q -> q
-  | None ->
-    let q = ref [] in
-    Hashtbl.add aux.group_queues g q;
-    q
+let group_queue aux g = find_or_add aux.group_queues g (fun () -> ref [])
+
+(* One planned session: the decision taken at its arrival, its place in
+   decision order, and the clock the scheduler drives it on. The rest of
+   its context is built on that clock when the session starts. *)
+type plan = { p_spec : client_spec; p_idx : int; p_decision : decision; p_clock : Clock.t }
 
 (* Execute planned sessions over one scheduler against one worker plane.
    [plans] must be share-group-complete: every planned session of every
@@ -652,22 +655,26 @@ let exec_sessions aux sched w reports plans =
             Clock.advance_to w.w_clock
               (Int64.add spec.arrival_ns (Clock.now_ns ctx.Ctx.clock));
             Trace.event w.w_trace (Trace.Promote { label = e.keyed.label; client = wid });
-            Tracer.instant_opt (tracer_of_obs w.w_obs) ~cat:Tracer.Svc_promotion
-              ~args:
-                [
-                  ("label", e.keyed.label);
-                  ("failed", Printf.sprintf "client-%d" spec.client_id);
-                  ("promoted", Printf.sprintf "client-%d" wid);
-                ]
-              "waiter-promotion"
+            Option.iter
+              (fun o ->
+                Tracer.instant o.obs_tracer ~cat:Tracer.Svc_promotion
+                  ~args:
+                    [
+                      ("label", e.keyed.label);
+                      ("failed", Printf.sprintf "client-%d" spec.client_id);
+                      ("promoted", Printf.sprintf "client-%d" wid);
+                    ]
+                  "waiter-promotion")
+              w.w_obs
           | [] -> ())
         | Recorded _ | Cache_hit | Coalesced -> ());
         put spec r)
   in
   (* Spawn pass: one task per session, entering at its arrival time. *)
   List.iter
-    (fun ((spec : client_spec), d, ctx) ->
+    (fun { p_spec = spec; p_idx; p_decision = d; p_clock = clock } ->
       let body () =
+        let ctx = start_session ~clock w spec ~order:p_idx d in
         match d with
         | D_serve e ->
           obs_ttfb w e ctx;
@@ -686,9 +693,12 @@ let exec_sessions aux sched w reports plans =
           in
           let t0 = Clock.now_ns ctx.Ctx.clock in
           let got =
-            Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_coalesce_wait
-              ~args:[ ("key", e.keyed.label) ]
-              ~name:"coalesce-wait" wait
+            match ctx.Ctx.tracer with
+            | Some tr ->
+              Tracer.with_span tr ~cat:Tracer.Svc_coalesce_wait
+                ~args:[ ("key", e.keyed.label) ]
+                ~name:"coalesce-wait" wait
+            | None -> wait ()
           in
           obs_sample w Hist.Svc_coalesce_wait_us (Int64.sub (Clock.now_ns ctx.Ctx.clock) t0);
           (match got with
@@ -701,7 +711,7 @@ let exec_sessions aux sched w reports plans =
                clock, under the same key-derived seed and options a planned
                recorder uses. *)
             let rctx = record_ctx w spec e ~clock:ctx.Ctx.clock in
-            register_track w spec rctx;
+            register_track w spec ~order:max_int rctx;
             record_with_ticket spec e rctx
           | `Orphaned ->
             (* Unreachable while promotion elects every remaining waiter;
@@ -711,19 +721,20 @@ let exec_sessions aux sched w reports plans =
       in
       ignore
         (Sched.spawn sched ~arrival_ns:spec.arrival_ns
-           ~name:(Printf.sprintf "client-%d" spec.client_id)
-           ~clock:ctx.Ctx.clock body))
+           ~name:(fun () -> Printf.sprintf "client-%d" spec.client_id)
+           ~clock body))
     plans;
   Sched.run sched
 
-(* Plan pass: decisions + session contexts, taken on the calling domain in
+(* Plan pass: decisions + session clocks, taken on the calling domain in
    arrival order — identically whatever [domains] the execution then uses,
    so eviction, recorder identity and the shared stores never depend on the
-   execution geometry. Pre-creates every cond/sync/queue a planned session
-   can name, leaving the [aux] tables structurally read-only during
-   (possibly parallel) execution. The ticket queues and waiter lists are
-   built newest-first (an O(1) cons per arrival) and reversed into FIFO
-   order once the whole fleet is planned. *)
+   execution geometry. Pre-creates every cond/sync/queue and speculation
+   history a planned session can name, leaving the [aux] tables and
+   [t.histories] structurally read-only during (possibly parallel)
+   execution. The ticket queues and waiter lists are built newest-first
+   (an O(1) cons per arrival) and reversed into FIFO order once the whole
+   fleet is planned. *)
 let plan_fleet t aux specs =
   let w = worker_of t in
   let plans =
@@ -732,23 +743,19 @@ let plan_fleet t aux specs =
         Hashtbl.replace aux.decision_idx spec.client_id i;
         Metrics.incr t.svc_m Metrics.Svc_sessions;
         let d = decide t spec in
-        let ctx =
-          match d with
-          | D_record e ->
-            let g = share_group spec in
-            let q = group_queue aux g in
-            q := spec.client_id :: !q;
-            ignore (aux_cond aux.group_conds g);
-            ignore (entry_sync aux e.uid);
-            record_ctx w spec e
-          | D_wait e ->
-            let es = entry_sync aux e.uid in
-            es.e_waiting <- spec.client_id :: es.e_waiting;
-            serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
-          | D_serve e -> serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
-        in
-        register_track w spec ctx;
-        (spec, d, ctx))
+        (match d with
+        | D_record e ->
+          let g = share_group spec in
+          let q = group_queue aux g in
+          q := spec.client_id :: !q;
+          ignore (aux_cond aux.group_conds g);
+          ignore (entry_sync aux e.uid);
+          ignore (history_for w spec)
+        | D_wait e ->
+          let es = entry_sync aux e.uid in
+          es.e_waiting <- spec.client_id :: es.e_waiting
+        | D_serve _ -> ());
+        { p_spec = spec; p_idx = i; p_decision = d; p_clock = Clock.create () })
       specs
   in
   Hashtbl.iter (fun _ q -> q := List.rev !q) aux.group_queues;
@@ -770,7 +777,7 @@ let plan_fleet t aux specs =
 
 let distinct_groups plans =
   let seen = Hashtbl.create 16 in
-  List.iter (fun ((spec : client_spec), _, _) -> Hashtbl.replace seen (share_group spec) ()) plans;
+  List.iter (fun p -> Hashtbl.replace seen (share_group p.p_spec) ()) plans;
   Hashtbl.length seen
 
 (* Partition a plan into at most [domains] share-group-complete shards.
@@ -780,8 +787,8 @@ let distinct_groups plans =
 let shard_plans ~domains plans =
   let first_idx = Hashtbl.create 16 and counts = Hashtbl.create 16 in
   List.iteri
-    (fun i ((spec : client_spec), _, _) ->
-      let g = share_group spec in
+    (fun i p ->
+      let g = share_group p.p_spec in
       if not (Hashtbl.mem first_idx g) then Hashtbl.add first_idx g i;
       Hashtbl.replace counts g (1 + Option.value ~default:0 (Hashtbl.find_opt counts g)))
     plans;
@@ -803,8 +810,8 @@ let shard_plans ~domains plans =
     groups;
   let buckets = Array.make domains [] in
   List.iter
-    (fun (((spec : client_spec), _, _) as p) ->
-      let k = Hashtbl.find assign (share_group spec) in
+    (fun p ->
+      let k = Hashtbl.find assign (share_group p.p_spec) in
       buckets.(k) <- p :: buckets.(k))
     plans;
   Array.to_list buckets
@@ -1099,6 +1106,11 @@ let stats t =
     resident;
     resident_bytes;
   }
+
+let cached_blob t key =
+  match Hashtbl.find_opt t.cache key with
+  | Some { blob = Some b; _ } -> Some (Bytes.copy b)
+  | _ -> None
 
 let hit_rate s =
   if s.sessions = 0 then 0. else float_of_int (s.cache_hits + s.coalesced) /. float_of_int s.sessions

@@ -166,6 +166,11 @@ type stats = {
 val stats : t -> stats
 val hit_rate : stats -> float
 
+val cached_blob : t -> key -> bytes option
+(** A copy of [key]'s resident blob — the bytes a served client downloads.
+    The cache keeps its own copy of every blob it publishes, verified once
+    by the record pipeline; [None] when [key] is not resident. *)
+
 (** {2 The fleet observability plane}
 
     Enabled per run with [run ~observe:true]; everything below reads back
@@ -176,6 +181,9 @@ val hit_rate : stats -> float
 type track = {
   track_client : int;
   track_arrival_ns : int64;  (** shift onto the fleet-global timeline *)
+  track_order : int;
+      (** the session's decision index; [max_int] for a promoted waiter's
+          record track, which lists after every session track *)
   track_tracer : Grt_sim.Tracer.t;
 }
 
@@ -187,7 +195,9 @@ type observation = {
   obs_tracer : Grt_sim.Tracer.t;
       (** the service's own track: cache-lookup/evict/promotion markers on
           the service-plane clock *)
-  mutable obs_tracks : track list;  (** per-session tracks, newest first *)
+  mutable obs_tracks : track list;
+      (** per-session tracks, newest registration first; sessions register
+          when they start, so {!fleet_tracks} sorts by [track_order] *)
   obs_key_ttfb : (string, Grt_sim.Hist.t) Hashtbl.t;
   obs_key_turnaround : (string, Grt_sim.Hist.t) Hashtbl.t;
 }
@@ -198,7 +208,8 @@ val observation : t -> observation option
 val fleet_tracks : t -> Grt_sim.Tracer.track list
 (** The last observed run as Perfetto tracks: tid 0 is the service plane,
     client [i] renders on lane [i+1] offset by its arrival (a promoted
-    waiter's record tracer rides its own lane too). Empty when
+    waiter's record tracer rides its own lane too). Session tracks come in
+    decision order, then promoted waiters' record tracks. Empty when
     unobserved. Feed to {!Grt_sim.Tracer.tracks_chrome_json}. *)
 
 type listing_row = {

@@ -61,7 +61,7 @@ let resume c =
 
 type task = {
   id : int;
-  name : string;
+  name : unit -> string;  (* formatted only for a {!Deadlock} or {!failures} report *)
   clock : Clock.t;
   arrival_ns : int;
   mutable coro : coro option;
@@ -262,10 +262,10 @@ let run t =
   loop ();
   match List.filter (fun task -> task.st = `Blocked) t.tasks with
   | [] -> ()
-  | blocked -> raise (Deadlock (List.rev_map (fun task -> task.name) blocked))
+  | blocked -> raise (Deadlock (List.rev_map (fun task -> task.name ()) blocked))
 
 let failures t =
   List.rev
     (List.filter_map
-       (fun task -> match task.st with `Failed (e, bt) -> Some (task.name, e, bt) | _ -> None)
+       (fun task -> match task.st with `Failed (e, bt) -> Some (task.name (), e, bt) | _ -> None)
        t.tasks)

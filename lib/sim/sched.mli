@@ -22,10 +22,12 @@ val create : unit -> t
 (** A fresh scheduler with no tasks. *)
 
 val spawn :
-  t -> ?arrival_ns:int64 -> name:string -> clock:Clock.t -> (unit -> unit) -> task
+  t -> ?arrival_ns:int64 -> name:(unit -> string) -> clock:Clock.t -> (unit -> unit) -> task
 (** [spawn t ~arrival_ns ~name ~clock body] registers a task whose local
     timeline is [clock], entering the global timeline at [arrival_ns]
-    (default 0). Installs the clock's yield hook for the task's lifetime. *)
+    (default 0). Installs the clock's yield hook for the task's lifetime.
+    [name] is called only to report the task in {!Deadlock} or
+    {!failures}, so a fleet of tasks pays nothing for naming them. *)
 
 val new_cond : unit -> cond
 

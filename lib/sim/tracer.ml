@@ -155,9 +155,6 @@ let instant t ~cat ?(args = []) name =
     { m_name = name; m_cat = cat; m_args = args; m_at = Clock.now_ns t.clock; m_seq = next_seq t }
     :: t.markers
 
-let instant_opt t ~cat ?args name =
-  match t with None -> () | Some t -> instant t ~cat ?args name
-
 (* Fold [src]'s retained spans and markers into [into], reassigning
    sequence numbers from [into]'s stream while preserving [src]'s own
    event order; timestamps come over unchanged (both tracers are assumed

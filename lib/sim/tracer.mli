@@ -72,8 +72,6 @@ val span_opt :
 val instant : t -> cat:category -> ?args:(string * string) list -> string -> unit
 (** Zero-duration marker event. *)
 
-val instant_opt : t option -> cat:category -> ?args:(string * string) list -> string -> unit
-
 val absorb : into:t -> t -> unit
 (** Fold another tracer's retained spans and markers into [into]: sequence
     numbers are reassigned from [into]'s stream (preserving the source's

@@ -47,7 +47,7 @@ let quick ?(seed = 0x1B873593) b =
   done;
   !h
 
-(* Sparse memo key for megabyte-scale buffers (signed recording blobs):
+(* Sparse memo key for large buffers (recorded page payloads):
    samples one 8-byte word per 64-byte cache line plus the tail word, so the
    key costs an eighth of [quick]. Only safe where the memo verifies hits
    with a full [Bytes.equal] — a collision between buffers differing solely

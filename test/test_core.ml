@@ -189,6 +189,21 @@ let recording_garbage_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage parsed"
 
+(* A forged element count in the (not yet MAC-checked) v2 header must fail
+   as a typed error, not as an allocation of the forged size. *)
+let recording_forged_count_rejected () =
+  let r = { Recording.workload = "prop"; gpu_id = 0x1234L; entries = [||]; slots = [] } in
+  let blob = Recording.sign ~key:"k" r in
+  (* magic (4) + version (2) + "prop" (1 + 4) + gpu_id (8) + no slots (1)
+     + no entries (1): the chunk count starts at byte 21 *)
+  let forged = Grt_util.Byte_buf.create () in
+  Grt_util.Byte_buf.add_bytes forged (Bytes.sub blob 0 21);
+  Grt_util.Byte_buf.add_varint forged (1 lsl 40);
+  Grt_util.Byte_buf.add_bytes forged (Bytes.make 64 '\x01');
+  match Recording.verify_and_parse ~key:"k" (Grt_util.Byte_buf.contents forged) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "forged chunk count accepted"
+
 (* ---- Memsync ---- *)
 
 let mk_region ~name ~usage ~pa ~bytes =
@@ -518,6 +533,7 @@ let () =
           Alcotest.test_case "tamper rejected" `Quick recording_tamper_rejected;
           Alcotest.test_case "counts and slots" `Quick recording_counts_and_slots;
           Alcotest.test_case "garbage rejected" `Quick recording_garbage_rejected;
+          Alcotest.test_case "forged element count rejected" `Quick recording_forged_count_rejected;
           recording_qcheck_roundtrip;
           recording_qcheck_signature;
         ] );

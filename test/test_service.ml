@@ -29,7 +29,7 @@ let sched_order () =
   let mk name arrival_ns advance_s =
     let clock = Clock.create () in
     ignore
-      (Sched.spawn s ~arrival_ns ~name ~clock (fun () ->
+      (Sched.spawn s ~arrival_ns ~name:(fun () -> name) ~clock (fun () ->
            log := (name ^ ":start") :: !log;
            Clock.advance_s clock advance_s;
            Clock.yield clock;
@@ -55,12 +55,12 @@ let sched_cond () =
   let a_clock = Clock.create () in
   let woke_at = ref (-1.0) in
   ignore
-    (Sched.spawn s ~name:"waiter" ~clock:a_clock (fun () ->
+    (Sched.spawn s ~name:(fun () -> "waiter") ~clock:a_clock (fun () ->
          Sched.await s cond;
          woke_at := Clock.now_s a_clock));
   let b_clock = Clock.create () in
   ignore
-    (Sched.spawn s ~arrival_ns:10_000_000L ~name:"signaller" ~clock:b_clock
+    (Sched.spawn s ~arrival_ns:10_000_000L ~name:(fun () -> "signaller") ~clock:b_clock
        (fun () ->
          Clock.advance_s b_clock 0.020;
          Sched.signal_all s cond));
@@ -72,7 +72,7 @@ let sched_deadlock () =
   let s = Sched.create () in
   let cond = Sched.new_cond () in
   let clock = Clock.create () in
-  ignore (Sched.spawn s ~name:"stuck" ~clock (fun () -> Sched.await s cond));
+  ignore (Sched.spawn s ~name:(fun () -> "stuck") ~clock (fun () -> Sched.await s cond));
   match Sched.run s with
   | () -> Alcotest.fail "expected Deadlock"
   | exception Sched.Deadlock [ "stuck" ] -> ()
@@ -84,8 +84,8 @@ let sched_failure () =
   let s = Sched.create () in
   let finished = ref false in
   let c1 = Clock.create () and c2 = Clock.create () in
-  ignore (Sched.spawn s ~name:"bad" ~clock:c1 (fun () -> failwith "boom"));
-  ignore (Sched.spawn s ~name:"good" ~clock:c2 (fun () -> finished := true));
+  ignore (Sched.spawn s ~name:(fun () -> "bad") ~clock:c1 (fun () -> failwith "boom"));
+  ignore (Sched.spawn s ~name:(fun () -> "good") ~clock:c2 (fun () -> finished := true));
   Sched.run s;
   check Alcotest.bool "good task finished" true !finished;
   match Sched.failures s with
@@ -110,7 +110,7 @@ let solo_identity () =
   let s = Sched.create () in
   let result = ref None in
   ignore
-    (Sched.spawn s ~name:"solo" ~clock:ctx.Ctx.clock (fun () ->
+    (Sched.spawn s ~name:(fun () -> "solo") ~clock:ctx.Ctx.clock (fun () ->
          result := Some (Orchestrate.Pipeline.run pipeline)));
   Sched.run s;
   match !result with
@@ -369,6 +369,50 @@ let failed_recording_retries () =
   | Some b1, Some b2 -> check Alcotest.bool "retry blob identical" true (Bytes.equal b1 b2)
   | _ -> Alcotest.fail "expected the second client to record in both modes"
 
+(* ---- the cache owns its blob: a client scribbling over the bytes of its
+   [Recorded] report cannot reach later serves of the key. Served clients
+   still succeed with the same sizes, counters and turnaround as on an
+   untampered service, and the resident blob still verifies. ---- *)
+
+let tampered_report_blob () =
+  let recorder = spec ~id:0 ~at_ms:0 () in
+  let later = [ spec ~id:1 ~at_ms:60_000 (); spec ~id:2 ~at_ms:61_000 () ] in
+  let key =
+    Service.cache_key ~cfg:recorder.Service.cfg ~sku:recorder.Service.sku
+      ~net:recorder.Service.net
+  in
+  let go ~tamper =
+    let svc = Service.create () in
+    let recorded, _ = Service.run ~sequential:true svc [ recorder ] in
+    (match (tamper, List.map blob_of recorded) with
+    | false, _ -> ()
+    | true, [ Some b ] -> Bytes.fill b 0 (Bytes.length b) '\xff'
+    | true, _ -> Alcotest.fail "expected the first client to record");
+    let served, _ = Service.run svc later in
+    (svc, served)
+  in
+  let clean_svc, clean = go ~tamper:false in
+  let svc, served = go ~tamper:true in
+  List.iter
+    (fun r ->
+      check Alcotest.string "served from the cache" "cache_hit"
+        (Service.outcome_name r.Service.outcome))
+    served;
+  check Alcotest.bool "sizes and counters match the untampered service" true
+    (List.map normalized served = List.map normalized clean);
+  check
+    Alcotest.(list (float 0.))
+    "turnaround matches the untampered service"
+    (List.map (fun r -> r.Service.turnaround_s) clean)
+    (List.map (fun r -> r.Service.turnaround_s) served);
+  match (Service.cached_blob svc key, Service.cached_blob clean_svc key) with
+  | Some b, Some clean_b ->
+    check Alcotest.bool "resident blob untouched" true (Bytes.equal b clean_b);
+    (match Grt.Recording.verify_and_parse ~key:Orchestrate.cloud_signing_key b with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "resident blob no longer verifies: %s" e)
+  | _ -> Alcotest.fail "expected the key to stay resident"
+
 (* ---- domain-parallel determinism (qcheck): the same fleet sharded by
    share group across 2 or 4 domains ≡ the single-scheduler multiplexed
    run — identical normalized reports (outcome, blob bytes, per-session
@@ -532,9 +576,26 @@ let observation_write_only () =
           (Grt_sim.Hist.count (Grt_sim.Hist.get obs.Service.obs_hists Grt_sim.Hist.Svc_ttfb_us)));
       (* service plane + one track per session (a promoted waiter may add
          a second lane for its client) *)
+      let tracks = Service.fleet_tracks svc_on in
       check Alcotest.bool (mode ^ ": service + per-session tracks") true
-        (List.length (Service.fleet_tracks svc_on) >= 1 + List.length specs))
-    [ true; false ]
+        (List.length tracks >= 1 + List.length specs);
+      (* session tracks list in decision order, however the sessions'
+         start times interleaved *)
+      check
+        Alcotest.(list int)
+        (mode ^ ": session tracks in decision order")
+        (List.map (fun s -> s.Service.client_id + 1) specs)
+        (List.filteri (fun i _ -> i >= 1 && i <= List.length specs) tracks
+        |> List.map (fun tr -> tr.Grt_sim.Tracer.track_tid)))
+    [ true; false ];
+  (* sharded: each domain registers its own sessions' tracks, and the
+     merged list must still read like the single-scheduler run's *)
+  let track_tids domains =
+    let svc = Service.create ~cache_capacity:1 () in
+    ignore (Service.run ~observe:true ~domains svc specs);
+    List.map (fun tr -> tr.Grt_sim.Tracer.track_tid) (Service.fleet_tracks svc)
+  in
+  check Alcotest.(list int) "d2 track order = d1 track order" (track_tids 1) (track_tids 2)
 
 (* ---- fleet generation ---- *)
 
@@ -612,6 +673,8 @@ let () =
           Alcotest.test_case "second client hits" `Quick second_client_hits;
           Alcotest.test_case "eviction + cheap re-record" `Quick eviction_rerecord;
           Alcotest.test_case "service counters + aggregate" `Quick service_counter_view;
+          Alcotest.test_case "tampered report blob leaves the cache intact" `Quick
+            tampered_report_blob;
           engine_case "simultaneous arrivals coalesce" coalescing;
           engine_case "failed recording promotes a waiter" failed_recording_retries;
         ] );
