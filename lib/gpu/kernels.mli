@@ -4,11 +4,23 @@
     memory as 4 KiB pages of bytes through per-operand {!stream}s — one-entry
     TLBs the memory provider refills on miss (performing MMU translation on
     the device), exactly as real shader cores fetch through their own TLBs.
-    Distinct streams per operand keep alternating input/weight accesses from
-    thrashing a shared cache, and the stream hit path is free of [int64] and
-    float boxing, which keeps simulated job execution cheap. Output-channel
-    partitioning ([part_idx]/[part_count]) lets the runtime split one logical
-    operator across several GPU jobs. *)
+    The stream hit path is free of [int64] and float boxing.
+
+    Gather-then-compute: [Conv2d], [Depthwise], [Fc] and [Maxpool] read each
+    operand once through its stream into a domain-local unboxed
+    [Float.Array] scratch (conv2d one output channel's filter at a time),
+    loop over flat arrays with padding clamped per output row and column,
+    and write results through the output stream in (channel, row, column)
+    order. Translation faults and the zero-page rule therefore behave as for
+    any other access; the scratch grows to the largest job seen and is
+    reused, so the hot path allocates nothing.
+
+    Summation order (the bit-exactness contract): each output starts at its
+    bias (0 without one) and adds its products in double, in (ic, ky, kx)
+    order, skipping padded taps, and is rounded to f32 only at the store.
+    Output-channel partitioning ([part_idx]/[part_count]) lets the runtime
+    split one logical operator across several GPU jobs without changing a
+    bit of the result. *)
 
 exception Kernel_fault of string
 

@@ -13,8 +13,8 @@ module Device = Grt_gpu.Device
 module Clock = Grt_sim.Clock
 
 let check = Alcotest.check
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* ---- Regs ---- *)
 
@@ -481,52 +481,232 @@ let kernels_softmax_normalizes () =
   check Alcotest.bool "monotone" true (arr.(19) > arr.(18) && arr.(18) > arr.(17))
 
 let kernels_partition_covers () =
-  (* Partitioned conv jobs must produce exactly the same output as one
-     unpartitioned job. *)
-  let run parts =
+  (* Partitioned conv and FC jobs must produce exactly the same output bits
+     as one unpartitioned job. *)
+  let run op params parts =
     let arr, exec = flat_ctx 4096 in
     let rng = Grt_util.Rng.create ~seed:17L in
-    for i = 0 to 26 do
+    for i = 0 to 255 do
       arr.(i) <- Grt_util.Rng.float rng 1.0
     done;
-    (* weights: 6 oc x 3 ic x 2 x 2 at float index 256 *)
-    for i = 0 to (6 * 3 * 4) - 1 do
-      arr.(256 + i) <- Grt_util.Rng.float rng 1.0 -. 0.5
+    (* weights at float index 256, bias at 768 *)
+    for i = 256 to 767 do
+      arr.(i) <- Grt_util.Rng.float rng 1.0 -. 0.5
     done;
-    let base part_idx part_count =
-      {
-        Job_desc.op = Shader.Conv2d;
-        shader_va = 0L;
-        input_va = 0L;
-        input2_va = 1024L;
-        bias_va = 0L;
-        output_va = 2048L;
-        params =
-          {
-            Job_desc.default_params with
-            Job_desc.in_c = 3;
-            in_h = 3;
-            in_w = 3;
-            out_c = 6;
-            out_h = 2;
-            out_w = 2;
-            kh = 2;
-            kw = 2;
-            part_idx;
-            part_count;
-          };
-        next_va = 0L;
-      }
-    in
-    for p = 0 to parts - 1 do
-      exec (base p parts)
+    for i = 768 to 775 do
+      arr.(i) <- Grt_util.Rng.float rng 0.2 -. 0.1
     done;
-    Array.sub arr 512 24
+    for part_idx = 0 to parts - 1 do
+      exec
+        {
+          Job_desc.op;
+          shader_va = 0L;
+          input_va = 0L;
+          input2_va = 1024L;
+          bias_va = 3072L;
+          output_va = 4096L;
+          params = { params with Job_desc.part_idx; part_count = parts };
+          next_va = 0L;
+        }
+    done;
+    Array.map Int32.bits_of_float (Array.sub arr 1024 24)
   in
-  let whole = run 1 and split = run 3 in
-  Array.iteri
-    (fun i v -> check (Alcotest.float 1e-6) (Printf.sprintf "out[%d]" i) v split.(i))
-    whole
+  let conv =
+    {
+      Job_desc.default_params with
+      Job_desc.in_c = 3;
+      in_h = 3;
+      in_w = 3;
+      out_c = 6;
+      out_h = 2;
+      out_w = 2;
+      kh = 2;
+      kw = 2;
+    }
+  and fc =
+    {
+      Job_desc.default_params with
+      Job_desc.in_c = 20;
+      in_h = 3;
+      in_w = 1;
+      out_c = 7;
+      out_h = 1;
+      out_w = 1;
+      relu = true;
+    }
+  in
+  List.iter
+    (fun (name, op, params) ->
+      let whole = run op params 1 in
+      List.iter
+        (fun parts ->
+          check (Alcotest.array Alcotest.int32)
+            (Printf.sprintf "%s split %d" name parts)
+            whole (run op params parts))
+        [ 2; 3; 8 ])
+    [ ("conv", Shader.Conv2d, conv); ("fc", Shader.Fc, fc) ]
+
+(* An independent oracle for the gathered kernels: the naive per-tap loops
+   over plain [float array]s, testing padding bounds on every tap. Each
+   output starts at its bias and adds its products in double in (ic, ky, kx)
+   order; the store rounds to f32. [out] holds the whole output tensor;
+   cells outside the job's partition are left alone. *)
+let oracle (d : Job_desc.t) ~inp ~w ~bias ~out =
+  let p = d.Job_desc.params in
+  let in_at c y x = inp.((((c * p.in_h) + y) * p.in_w) + x) in
+  let out_at c y x = (((c * p.out_h) + y) * p.out_w) + x in
+  let relu v = if p.relu && v < 0.0 then 0.0 else v in
+  let bias_of oc = match bias with Some b -> b.(oc) | None -> 0.0 in
+  let tap ~c ~oy ~ox f =
+    for ky = 0 to p.kh - 1 do
+      let iy = (oy * p.stride) + ky - p.pad in
+      if iy >= 0 && iy < p.in_h then
+        for kx = 0 to p.kw - 1 do
+          let ix = (ox * p.stride) + kx - p.pad in
+          if ix >= 0 && ix < p.in_w then f ky kx (in_at c iy ix)
+        done
+    done
+  in
+  let f32 v = Int32.float_of_bits (Int32.bits_of_float v) in
+  match d.Job_desc.op with
+  | Shader.Conv2d ->
+    let first, n = Kernels.partition_range ~total:p.out_c ~part_idx:p.part_idx ~part_count:p.part_count in
+    for oc = first to first + n - 1 do
+      for oy = 0 to p.out_h - 1 do
+        for ox = 0 to p.out_w - 1 do
+          let acc = ref (bias_of oc) in
+          for ic = 0 to p.in_c - 1 do
+            tap ~c:ic ~oy ~ox (fun ky kx v ->
+                acc := !acc +. (v *. w.((((((oc * p.in_c) + ic) * p.kh) + ky) * p.kw) + kx)))
+          done;
+          out.(out_at oc oy ox) <- f32 (relu !acc)
+        done
+      done
+    done
+  | Shader.Depthwise ->
+    for c = 0 to p.out_c - 1 do
+      for oy = 0 to p.out_h - 1 do
+        for ox = 0 to p.out_w - 1 do
+          let acc = ref (bias_of c) in
+          tap ~c ~oy ~ox (fun ky kx v -> acc := !acc +. (v *. w.((((c * p.kh) + ky) * p.kw) + kx)));
+          out.(out_at c oy ox) <- f32 (relu !acc)
+        done
+      done
+    done
+  | Shader.Maxpool ->
+    for c = 0 to p.out_c - 1 do
+      for oy = 0 to p.out_h - 1 do
+        for ox = 0 to p.out_w - 1 do
+          let best = ref neg_infinity in
+          tap ~c ~oy ~ox (fun _ _ v -> if v > !best then best := v);
+          out.(out_at c oy ox) <- f32 !best
+        done
+      done
+    done
+  | Shader.Fc ->
+    let in_n = p.in_c * p.in_h * p.in_w in
+    let first, n = Kernels.partition_range ~total:p.out_c ~part_idx:p.part_idx ~part_count:p.part_count in
+    for o = first to first + n - 1 do
+      let acc = ref (bias_of o) in
+      for i = 0 to in_n - 1 do
+        acc := !acc +. (inp.(i) *. w.((o * in_n) + i))
+      done;
+      out.(o) <- f32 (relu !acc)
+    done
+  | op -> Alcotest.failf "no oracle for %s" (Shader.op_name op)
+
+(* Random geometry for the oracle property: kernels 1-11 (not square),
+   stride 1-4 (so stride > k happens), pad 0-3 on every side, partitions,
+   relu on and off, and no bias. Tensor bases sit at random 4-aligned
+   offsets so operands straddle pages. *)
+let kernel_case_gen =
+  let open QCheck2.Gen in
+  let* op = oneofl [ Shader.Conv2d; Shader.Depthwise; Shader.Fc; Shader.Maxpool ] in
+  let* kh = int_range 1 11 and* kw = int_range 1 11 in
+  let* stride = int_range 1 4 and* pad = int_range 0 3 in
+  let* in_h = int_range (max 1 (kh - (2 * pad))) (kh + 6)
+  and* in_w = int_range (max 1 (kw - (2 * pad))) (kw + 6) in
+  let* in_c = int_range 1 4 and* out_c = int_range 1 6 in
+  let* part_count = int_range 1 4 in
+  let* part_idx = int_range 0 (part_count - 1) in
+  let* relu = bool and* with_bias = map (fun n -> n > 0) (int_bound 4) in
+  let* offs = array_size (return 4) (int_bound 1023) in
+  let* seed = int in
+  let in_c, out_c, kh, kw, in_h, in_w, out_h, out_w =
+    match op with
+    | Shader.Fc -> (in_c, out_c, 1, 1, in_h, in_w, 1, 1)
+    | _ ->
+      let oh = ((in_h + (2 * pad) - kh) / stride) + 1 and ow = ((in_w + (2 * pad) - kw) / stride) + 1 in
+      let c = if op = Shader.Conv2d then out_c else in_c in
+      (in_c, c, kh, kw, in_h, in_w, oh, ow)
+  in
+  let relu = relu && op <> Shader.Maxpool in
+  let params =
+    {
+      Job_desc.default_params with
+      Job_desc.in_c;
+      in_h;
+      in_w;
+      out_c;
+      out_h;
+      out_w;
+      kh;
+      kw;
+      stride;
+      pad;
+      relu;
+      part_idx;
+      part_count;
+    }
+  in
+  let va region i = Int64.of_int ((region lsl 20) + (4 * offs.(i))) in
+  return
+    ( {
+        Job_desc.op;
+        shader_va = 0L;
+        input_va = va 1 0;
+        input2_va = va 2 1;
+        bias_va = (if with_bias && op <> Shader.Maxpool then va 3 2 else 0L);
+        output_va = va 4 3;
+        params;
+        next_va = 0L;
+      },
+      seed )
+
+let print_kernel_case ((d : Job_desc.t), seed) =
+  let p = d.Job_desc.params in
+  Printf.sprintf "%s in=%dx%dx%d out=%dx%dx%d k=%dx%d s=%d pad=%d relu=%b part=%d/%d bias=%b seed=%d"
+    (Shader.op_name d.Job_desc.op) p.in_c p.in_h p.in_w p.out_c p.out_h p.out_w p.kh p.kw p.stride
+    p.pad p.relu p.part_idx p.part_count (d.Job_desc.bias_va <> 0L) seed
+
+let kernels_match_oracle =
+  qtest ~count:300 "gathered kernels match the per-tap oracle bit for bit" ~print:print_kernel_case
+    kernel_case_gen (fun ((d : Job_desc.t), seed) ->
+      let p = d.Job_desc.params in
+      let rng = Grt_util.Rng.create ~seed:(Int64.of_int seed) in
+      (* f32-representable values, as GPU memory holds them *)
+      let f32 v = Int32.float_of_bits (Int32.bits_of_float v) in
+      let fill n = Array.init n (fun _ -> f32 (Grt_util.Rng.float rng 2.0 -. 1.0)) in
+      let in_n = p.in_c * p.in_h * p.in_w and out_n = p.out_c * p.out_h * p.out_w in
+      let w_n =
+        match d.Job_desc.op with
+        | Shader.Conv2d -> p.out_c * p.in_c * p.kh * p.kw
+        | Shader.Fc -> p.out_c * in_n
+        | _ -> p.out_c * p.kh * p.kw
+      in
+      let inp = fill in_n and w = fill w_n and b = fill p.out_c in
+      let bias = if d.Job_desc.bias_va = 0L then None else Some b in
+      let flat = Kernels.Flat.create () in
+      let at base i = Int64.add base (Int64.of_int (4 * i)) in
+      let load base a = Array.iteri (fun i v -> Kernels.Flat.write_f32 flat (at base i) v) a in
+      load d.Job_desc.input_va inp;
+      load d.Job_desc.input2_va w;
+      Option.iter (load d.Job_desc.bias_va) bias;
+      Kernels.execute (Kernels.Flat.ctx flat) d;
+      let want = Array.make out_n 0.0 in
+      oracle d ~inp ~w ~bias ~out:want;
+      let got = Array.init out_n (fun i -> Kernels.Flat.read_f32 flat (at d.Job_desc.output_va i)) in
+      Array.map Int32.bits_of_float got = Array.map Int32.bits_of_float want)
 
 let kernels_partition_range_props =
   qtest "partitions tile the range exactly"
@@ -566,9 +746,18 @@ let kernels_shape_check () =
       next_va = 0L;
     }
   in
-  match exec d with
+  (match exec d with
   | () -> Alcotest.fail "bad geometry accepted"
-  | exception Kernels.Kernel_fault _ -> ()
+  | exception Kernels.Kernel_fault _ -> ());
+  (* A 3x3 window over a 1x1 input: the formula gives a consistent -1x-1
+     output, which must fault rather than reach the loops. *)
+  let p = { d.Job_desc.params with Job_desc.in_h = 1; in_w = 1; kh = 3; kw = 3; out_h = -1; out_w = -1 } in
+  List.iter
+    (fun op ->
+      match exec { d with Job_desc.op; params = p } with
+      | () -> Alcotest.failf "%s: negative output accepted" (Shader.op_name op)
+      | exception Kernels.Kernel_fault _ -> ())
+    [ Shader.Conv2d; Shader.Depthwise; Shader.Maxpool ]
 
 let kernels_flops_positive () =
   List.iter
@@ -589,8 +778,8 @@ let kernels_flops_positive () =
       in
       if Int64.compare (Kernels.flops op p) 0L <= 0 then
         Alcotest.failf "flops of %s not positive" (Shader.op_name op))
-    [ Shader.Conv2d; Shader.Depthwise; Shader.Fc; Shader.Maxpool; Shader.Avgpool; Shader.Relu;
-      Shader.Copy; Shader.Add; Shader.Concat2; Shader.Softmax ]
+    (* every op the shader ISA can encode *)
+    (List.filter_map Shader.op_of_code (List.init 256 Fun.id))
 
 (* ---- Device ---- *)
 
@@ -661,7 +850,7 @@ let device_as_command_busy () =
   check Alcotest.int64 "idle after flush" 0L (Device.read_reg dev (Regs.as_status 1))
 
 (* Set up a minimal runnable job directly against the device. *)
-let setup_job ?(sku = Sku.g71_mp8) ?(shader_sku = Sku.g71_mp8) () =
+let setup_job ?(sku = Sku.g71_mp8) ?(shader_sku = Sku.g71_mp8) ?(op = Shader.Relu) ?(edit = Fun.id) () =
   let dev, clock, mem = fresh_device ~sku () in
   (* power up *)
   Device.write_reg dev Regs.l2_pwron_lo (Sku.l2_present_mask sku);
@@ -671,7 +860,7 @@ let setup_job ?(sku = Sku.g71_mp8) ?(shader_sku = Sku.g71_mp8) () =
   Device.write_reg dev Regs.mmu_irq_mask 0xFFFF_FFFFL;
   (* page tables *)
   let mmu = Mmu.create mem ~fmt:sku.Sku.pt_format in
-  let shader_bin = Shader.compile ~sku:shader_sku ~op:Shader.Relu in
+  let shader_bin = Shader.compile ~sku:shader_sku ~op in
   let code_pa = Mem.alloc_pages mem 1 in
   Mem.write_bytes mem code_pa shader_bin;
   let data_pa = Mem.alloc_pages mem 1 in
@@ -706,7 +895,7 @@ let setup_job ?(sku = Sku.g71_mp8) ?(shader_sku = Sku.g71_mp8) () =
       next_va = 0L;
     }
   in
-  Job_desc.write mem ~pa:desc_pa desc;
+  Job_desc.write mem ~pa:desc_pa (edit desc);
   (* program AS 0 *)
   let root = Mmu.root_pa mmu in
   Device.write_reg dev (Regs.as_transtab_lo 0) (Int64.logand root 0xFFFF_FFFFL);
@@ -763,6 +952,41 @@ let device_faults_on_unmapped_chain () =
       (Int64.compare (Device.read_reg dev Regs.mmu_irq_rawstat) 0L > 0)
   | Some Device.Mmu_irq -> ()
   | _ -> Alcotest.fail "expected a fault interrupt"
+
+let device_faults_on_unmapped_operand () =
+  (* A conv whose weights lie on an unmapped page: the kernel's operand
+     gather goes through the stream miss handler, which must fault the job
+     and latch the MMU fault at the weight address. *)
+  let weights_va = 0x50_0000L in
+  let conv (d : Job_desc.t) =
+    {
+      d with
+      Job_desc.op = Shader.Conv2d;
+      input2_va = weights_va;
+      params =
+        {
+          Job_desc.default_params with
+          Job_desc.in_c = 1;
+          in_h = 2;
+          in_w = 2;
+          out_c = 1;
+          out_h = 1;
+          out_w = 1;
+          kh = 2;
+          kw = 2;
+          flops_hint = 1000L;
+        };
+    }
+  in
+  let dev, clock, _, desc_va, _, _ = setup_job ~op:Shader.Conv2d ~edit:conv () in
+  submit dev desc_va;
+  Clock.advance_ns clock 1_000_000L;
+  check Alcotest.bool "fail bit" true
+    (Int64.logand (Device.read_reg dev Regs.job_irq_rawstat) 0x1_0000L <> 0L);
+  check Alcotest.bool "mmu fault latched" true
+    (Int64.logand (Device.read_reg dev Regs.mmu_irq_rawstat) 1L <> 0L);
+  check Alcotest.int64 "fault address" weights_va (Device.read_reg dev (Regs.as_faultaddress_lo 0));
+  check Alcotest.int "no job completed" 0 (Device.jobs_executed dev)
 
 let device_job_needs_power () =
   let dev, clock, mem = fresh_device () in
@@ -842,6 +1066,7 @@ let () =
           Alcotest.test_case "softmax normalizes" `Quick kernels_softmax_normalizes;
           Alcotest.test_case "partition equivalence" `Quick kernels_partition_covers;
           kernels_partition_range_props;
+          kernels_match_oracle;
           Alcotest.test_case "shape check" `Quick kernels_shape_check;
           Alcotest.test_case "flops positive" `Quick kernels_flops_positive;
         ] );
@@ -857,6 +1082,7 @@ let () =
           Alcotest.test_case "runs a job" `Quick device_runs_job;
           Alcotest.test_case "rejects foreign shader" `Quick device_rejects_foreign_shader;
           Alcotest.test_case "faults on unmapped chain" `Quick device_faults_on_unmapped_chain;
+          Alcotest.test_case "faults on unmapped operand" `Quick device_faults_on_unmapped_operand;
           Alcotest.test_case "job needs power" `Quick device_job_needs_power;
           Alcotest.test_case "wait timeout" `Quick device_wait_timeout;
         ] );
