@@ -46,51 +46,19 @@ let encoding_name = function
   | Enc_hash_ref -> "hash-ref"
 
 (* Page content hash. The digest is wire format (hash-ref bodies ship it),
-   so it must remain FNV-1a — but the same page contents are hashed over
-   and over as a workload resyncs, so a quick-keyed memo (full compare on
-   hit, see [Hashing.quick]) avoids re-walking the page byte by byte. *)
-(* Domain-local: a private table per domain keeps parallel fleet shards
-   race-free; the digest itself is FNV-1a either way. *)
-let hash_memo_key : (int, bytes * int64) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let hash_memo_cap = 1024
-
-let hash_stats = Grt_util.Memo_stats.register "memsync.hash_page"
-
-let hash_page b =
-  let hash_memo = Domain.DLS.get hash_memo_key in
-  let k = Grt_util.Hashing.quick b in
-  match Hashtbl.find_opt hash_memo k with
-  | Some (input, h) when Bytes.equal input b ->
-    Grt_util.Memo_stats.hit hash_stats;
-    h
-  | prior ->
-    Grt_util.Memo_stats.miss hash_stats;
-    (match prior with
-    | Some (old_in, _) ->
-      Grt_util.Memo_stats.mismatch hash_stats;
-      Grt_util.Memo_stats.replaced hash_stats
-        ~old_bytes:(Bytes.length old_in + 8)
-        ~bytes:(Bytes.length b + 8)
-    | None -> ());
-    let h = Grt_util.Hashing.fnv1a_bytes b in
-    if Hashtbl.length hash_memo >= hash_memo_cap then begin
-      Grt_util.Memo_stats.evicted hash_stats ~entries:(Hashtbl.length hash_memo);
-      Hashtbl.reset hash_memo
-    end;
-    if not (Hashtbl.mem hash_memo k) then
-      Grt_util.Memo_stats.added hash_stats ~bytes:(Bytes.length b + 8);
-    Hashtbl.replace hash_memo k (Bytes.copy b, h);
-    h
+   so it must remain FNV-1a. *)
+let hash_page b = Grt_util.Hashing.fnv1a_bytes b
 
 (* Content-addressed page store: hash of a full page body -> the body.
-   Collisions are guarded at the lookup sites with [Bytes.equal]. *)
+   Collisions are guarded at the lookup sites with [Bytes.equal]. The store
+   keeps the buffer it is given, not a copy: every body filed here is
+   read-only from then on (memory takes page contents by blit). *)
 module Store = struct
   type s = (int64, bytes) Hashtbl.t
 
   let create () : s = Hashtbl.create 64
-  let learn (s : s) data = Hashtbl.replace s (hash_page data) (Bytes.copy data)
+  let file (s : s) h data = Hashtbl.replace s h data
+  let learn s data = file s (hash_page data) data
   let find (s : s) h = Hashtbl.find_opt s h
 end
 
@@ -410,19 +378,21 @@ let tagged_record_wire ~pfn ~body =
   varint_size (Int64.to_int pfn) + 1 + varint_size (Bytes.length body) + Bytes.length body
 
 (* The historical pipeline: delta against the baseline when enabled, then
-   range coding when enabled. The body doubles as the wire-accounting form;
-   it is never decoded (untagged payloads carry the full contents). *)
+   range coding when enabled. *)
+let chain t ~previous current =
+  match (t.cfg.Mode.delta_dumps, previous) with
+  | true, Some prev ->
+    let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
+    if t.cfg.Mode.compress_dumps then (Enc_delta_rc, Grt_util.Range_coder.encode d)
+    else (Enc_delta, d)
+  | _ ->
+    if t.cfg.Mode.compress_dumps then (Enc_raw_rc, Grt_util.Range_coder.encode current)
+    else (Enc_raw, current)
+
+(* Untagged records: the body doubles as the wire-accounting form; it is
+   never decoded (untagged payloads carry the full contents). *)
 let encode_legacy t ~previous ~pfn ~current =
-  let enc, body =
-    match (t.cfg.Mode.delta_dumps, previous) with
-    | true, Some prev ->
-      let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
-      if t.cfg.Mode.compress_dumps then (Enc_delta_rc, Grt_util.Range_coder.encode d)
-      else (Enc_delta, d)
-    | _ ->
-      if t.cfg.Mode.compress_dumps then (Enc_raw_rc, Grt_util.Range_coder.encode current)
-      else (Enc_raw, current)
-  in
+  let enc, body = chain t ~previous current in
   { pfn; data = current; enc; body; wire = Bytes.length body + per_page_header; cross = false }
 
 (* Tagged encoding: bodies are decoded on the receiving side. The encoding
@@ -433,6 +403,27 @@ let encode_legacy t ~previous ~pfn ~current =
    that exact body on the wire before — which the receiver, by
    construction, has decoded and stored. *)
 let hash_ref_wire ~pfn = varint_size (Int64.to_int pfn) + 1 + varint_size 8 + 8
+
+(* Adaptive selection: the shortest of raw, raw+rc, delta and delta+rc, the
+   earlier candidate winning ties. Range-coding the raw page is the costly
+   candidate and, once a baseline exists, it almost never wins; so it runs
+   last, bounded by the length it has to match — it can only win at or
+   under both the raw page less one byte and the best delta. *)
+let cheapest ~previous current =
+  let n = Bytes.length current in
+  let best_delta =
+    match previous with
+    | None -> None
+    | Some prev ->
+      let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
+      let d_rc = Grt_util.Range_coder.encode d in
+      Some (if Bytes.length d_rc < Bytes.length d then (Enc_delta_rc, d_rc) else (Enc_delta, d))
+  in
+  let limit = match best_delta with None -> n - 1 | Some (_, b) -> min (n - 1) (Bytes.length b) in
+  match (Grt_util.Range_coder.encode_within ~limit current, best_delta) with
+  | Some rc, _ -> (Enc_raw_rc, rc)
+  | None, Some (enc, b) when Bytes.length b < n -> (enc, b)
+  | None, _ -> (Enc_raw, current)
 
 let encode_tagged t ~previous ~pfn ~current =
   let mk enc body =
@@ -452,38 +443,14 @@ let encode_tagged t ~previous ~pfn ~current =
       Bytes.set_int64_le body 0 h;
       mk Enc_hash_ref body
     end
-    else if t.cfg.Mode.memsync_adaptive then begin
-      let candidates =
-        (Enc_raw, current)
-        :: (Enc_raw_rc, Grt_util.Range_coder.encode current)
-        ::
-        (match previous with
-        | Some prev ->
-          let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
-          [ (Enc_delta, d); (Enc_delta_rc, Grt_util.Range_coder.encode d) ]
-        | None -> [])
-      in
+    else
+      (* dedup without adaptive selection: a store miss falls back to the
+         historical chain, byte-identical to the untagged wire format *)
       let enc, body =
-        List.fold_left
-          (fun (e0, b0) (e, b) ->
-            if Bytes.length b < Bytes.length b0 then (e, b) else (e0, b0))
-          (List.hd candidates) (List.tl candidates)
+        if t.cfg.Mode.memsync_adaptive then cheapest ~previous current
+        else chain t ~previous current
       in
       mk enc body
-    end
-    else begin
-      (* dedup without adaptive selection: a store miss falls back to the
-         historical delta/compression chain, byte-identical to the untagged
-         wire format *)
-      match (t.cfg.Mode.delta_dumps, previous) with
-      | true, Some prev ->
-        let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
-        if t.cfg.Mode.compress_dumps then mk Enc_delta_rc (Grt_util.Range_coder.encode d)
-        else mk Enc_delta d
-      | _ ->
-        if t.cfg.Mode.compress_dumps then mk Enc_raw_rc (Grt_util.Range_coder.encode current)
-        else mk Enc_raw current
-    end
   in
   (* Cross-session dedup: content an earlier same-key session shipped to
      this client population needs only a hash reference on the wire. The
@@ -498,13 +465,18 @@ let encode_tagged t ~previous ~pfn ~current =
       | _ -> r)
     | _ -> r
   in
-  Store.learn t.sent_store current;
-  (match t.shared with Some sh -> Store.learn sh current | None -> ());
+  Store.file t.sent_store h current;
+  (match t.shared with Some sh -> Store.file sh h current | None -> ());
   r
 
 (* Stand-in contents of a never-materialized page: compared against (and
    copied from) but never written through. *)
 let zero_page = Bytes.make Mem.page_size '\000'
+
+(* Read-only view of a page's contents, never materializing it. *)
+let page_view mem pfn =
+  let view = Mem.borrow_ro mem pfn in
+  if view == Bytes.empty then zero_page else view
 
 let sync_meta t mem =
   let mf = meta_fast t mem in
@@ -524,8 +496,7 @@ let sync_meta t mem =
       (* Compare in place against the baseline; copy only when the page
          actually changed (the copy is then shared by the shipped record
          and the new baseline entry — both are read-only downstream). *)
-      let view = Mem.borrow_ro mem pfn in
-      let view = if view == Bytes.empty then zero_page else view in
+      let view = page_view mem pfn in
       let prev = try Hashtbl.find t.baseline pfn with Not_found -> Bytes.empty in
       let same = prev != Bytes.empty && Bytes.equal prev view in
       if not same then begin
@@ -552,9 +523,10 @@ let decode_records store mem records =
         match enc with
         | Enc_raw -> body
         | Enc_raw_rc -> Grt_util.Range_coder.decode body
-        | Enc_delta -> Grt_util.Delta.apply ~old_:(Mem.get_page mem pfn) ~delta:body
+        | Enc_delta -> Grt_util.Delta.apply ~old_:(page_view mem (Int64.to_int pfn)) ~delta:body
         | Enc_delta_rc ->
-          Grt_util.Delta.apply ~old_:(Mem.get_page mem pfn)
+          Grt_util.Delta.apply
+            ~old_:(page_view mem (Int64.to_int pfn))
             ~delta:(Grt_util.Range_coder.decode body)
         | Enc_hash_ref -> (
           if Bytes.length body <> 8 then failwith "Memsync: malformed hash reference";
@@ -563,7 +535,8 @@ let decode_records store mem records =
           | None -> failwith "Memsync: hash reference to unknown page content")
       in
       Mem.set_page mem pfn data;
-      Store.learn store data;
+      (* a resolved reference is already filed under its hash *)
+      if enc <> Enc_hash_ref then Store.learn store data;
       (pfn, data))
     records
 
@@ -573,14 +546,14 @@ let apply t mem payload =
   if payload.tagged then ignore (apply_records t mem (wire_records payload))
   else List.iter (fun r -> Mem.set_page mem r.pfn r.data) payload.records
 
-let note_peer_page t pfn contents =
-  Hashtbl.replace t.baseline (Int64.to_int pfn) (Bytes.copy contents)
+let note_peer_page t pfn contents = Hashtbl.replace t.baseline (Int64.to_int pfn) contents
 
 let note_shipped t pfn contents =
-  Hashtbl.replace t.baseline (Int64.to_int pfn) (Bytes.copy contents);
+  note_peer_page t pfn contents;
   if tagged_wire t.cfg then begin
-    Store.learn t.sent_store contents;
-    match t.shared with Some sh -> Store.learn sh contents | None -> ()
+    let h = hash_page contents in
+    Store.file t.sent_store h contents;
+    match t.shared with Some sh -> Store.file sh h contents | None -> ()
   end
 
 (* Walk the descriptor chain in local memory and apply [f] to every data

@@ -48,7 +48,11 @@ module Store : sig
   type s
 
   val create : unit -> s
+
   val learn : s -> bytes -> unit
+  (** [learn s data] files [data] itself (not a copy) under its hash: the
+      caller must not mutate [data] afterwards. *)
+
   val find : s -> int64 -> bytes option
 end
 
@@ -145,12 +149,15 @@ val note_peer_page : t -> int64 -> bytes -> unit
     called when a page arrives from the other direction, so it is not
     echoed back on the next sync. Deliberately does {e not} feed the dedup
     store: hash references must only point at content this sender shipped
-    itself, or a recording's references could dangle on replay. *)
+    itself, or a recording's references could dangle on replay. Like
+    {!Store.learn}, it keeps [contents] itself: the caller must not mutate
+    it afterwards (decoded and recorded pages never are). *)
 
 val note_shipped : t -> int64 -> bytes -> unit
 (** Re-teach the sender state while replaying a validated log prefix
     (§4.2): baseline plus, under the tagged format, the shipped-content
-    store — as if this endpoint had shipped the page live. *)
+    store — as if this endpoint had shipped the page live. Keeps
+    [contents] itself, as {!note_peer_page} does. *)
 
 val naive_down_bytes : t -> Grt_gpu.Mem.t -> chain_va:int64 -> int
 (** Model-scale bytes Naive mode must push to the client before the job at

@@ -23,8 +23,8 @@ val quick : ?seed:int -> bytes -> int
 (** Fast word-at-a-time content key for process-internal memo tables. This
     is NOT a wire-format hash — it may change between versions — and
     collisions are expected to be resolved by the caller (compare the full
-    input before trusting a hit). Roughly 8x the throughput of the
-    byte-sequential [fnv1a_bytes]. *)
+    input before trusting a hit). Roughly 5x the throughput of
+    [fnv1a_bytes] on data without zero words. *)
 
 val quick_sparse : ?seed:int -> bytes -> int
 (** Like [quick] but samples one word per 64-byte line (falling back to

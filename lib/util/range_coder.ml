@@ -3,13 +3,15 @@
    an adaptive byte-frequency model whose total is kept below 2^16 so that
    [range * cum] stays within integer precision.
 
-   This runs on every changed page the recorder ships, so the hot loop is
-   engineered to do no per-byte allocation and no linear scans: interval
-   registers are native ints (every intermediate fits in 48 bits, so 63-bit
-   int arithmetic is exact and truncating division matches the historical
-   Int64 formulation bit for bit). The adaptive model keeps a plain
-   frequency array: the recorder's pages are zero-dominated, so the
-   prefix scan for the common low symbols is shorter than any tree. *)
+   This runs on every changed page the recorder ships, so each direction is
+   one loop with the whole coder state — interval registers, bit
+   accumulator, model frequencies and total — in locals: the per-symbol
+   path allocates nothing and calls nothing. Every intermediate fits in
+   48 bits, so 63-bit int arithmetic is exact and truncating division
+   matches the historical Int64 formulation bit for bit. The recorder's
+   pages are zero-dominated, so symbol 0 takes a path with no cumulative
+   scan (its lower bound is 0 by definition), and the decoder recognises
+   it without a division. *)
 
 let code_bits = 32
 let whole = 1 lsl code_bits
@@ -17,244 +19,220 @@ let half = whole lsr 1
 let quarter = whole lsr 2
 let three_quarter = half + quarter
 let max_total = (1 lsl 16) - 1
+let increment = 24
 
-module Model = struct
-  type t = { freq : int array; mutable total : int }
+(* Halve every frequency (keeping each at least 1); returns the new total. *)
+let rescale freq =
+  let total = ref 0 in
+  for i = 0 to 255 do
+    let f = (Array.unsafe_get freq i / 2) + 1 in
+    Array.unsafe_set freq i f;
+    total := !total + f
+  done;
+  !total
 
-  let create () = { freq = Array.make 256 1; total = 256 }
-
-  let cumulative t sym =
-    let freq = t.freq in
-    let c = ref 0 in
-    for i = 0 to sym - 1 do
-      c := !c + Array.unsafe_get freq i
-    done;
-    !c
-
-  let find t target =
-    let freq = t.freq in
-    let c = ref 0 and sym = ref 0 in
-    while !c + Array.unsafe_get freq !sym <= target do
-      c := !c + Array.unsafe_get freq !sym;
-      incr sym
-    done;
-    (!sym, !c)
-
-  let update t sym =
-    Array.unsafe_set t.freq sym (Array.unsafe_get t.freq sym + 24);
-    t.total <- t.total + 24;
-    if t.total >= max_total then begin
-      t.total <- 0;
-      for i = 0 to 255 do
-        t.freq.(i) <- (t.freq.(i) / 2) + 1;
-        t.total <- t.total + t.freq.(i)
-      done
-    end
-end
-
-module Bit_writer = struct
-  type t = { buf : Byte_buf.t; mutable acc : int; mutable nbits : int }
-
-  let create buf = { buf; acc = 0; nbits = 0 }
-
-  let put t bit =
-    t.acc <- (t.acc lsl 1) lor bit;
-    t.nbits <- t.nbits + 1;
-    if t.nbits = 8 then begin
-      Byte_buf.add_u8 t.buf t.acc;
-      t.acc <- 0;
-      t.nbits <- 0
-    end
-
-  let flush t =
-    while t.nbits <> 0 do
-      put t 0
-    done
-end
-
-module Bit_reader = struct
-  type t = { r : Byte_buf.Reader.r; mutable acc : int; mutable nbits : int }
-
-  let create r = { r; acc = 0; nbits = 0 }
-
-  let get t =
-    if t.nbits = 0 then begin
-      t.acc <- (if Byte_buf.Reader.remaining t.r > 0 then Byte_buf.Reader.u8 t.r else 0);
-      t.nbits <- 8
-    end;
-    t.nbits <- t.nbits - 1;
-    (t.acc lsr t.nbits) land 1
-end
-
-(* [encode] is a pure function of its input, and the recorder feeds it the
-   same page contents over and over — identical pages recur within a session
-   (job status flips back and forth), across sessions of one workload, and
-   across a fleet recording the same network (the same observation behind
-   the service's content-addressed recording cache). A small content-keyed
-   memo therefore short-circuits most real encodes. Hash collisions cannot
-   corrupt output: the stored input is compared byte-for-byte before the
-   cached blob is reused, and both sides of the memo are copies so callers
-   can keep mutating their buffers. *)
-let memo_limit = 1024
-
-(* Domain-local (Domain.DLS): each domain gets a private table, so parallel
-   fleet shards never contend on — or corrupt — a shared Hashtbl. The memo
-   is a pure cache, so per-domain cold starts change hit counts only,
-   never output bytes. *)
-let memo_key : (int, bytes * bytes) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let content_key data = Hashing.quick data
-
-let encode_raw data =
+let encode_within ~limit data =
   let n = Bytes.length data in
-  let out = Byte_buf.create ~capacity:(max 16 (n / 4)) () in
+  let out = Byte_buf.create ~capacity:(max 16 (min (n / 4) limit)) () in
   Byte_buf.add_varint out n;
-  let bw = Bit_writer.create out in
-  let model = Model.create () in
-  let low = ref 0 and high = ref (whole - 1) and pending = ref 0 in
-  let emit bit =
-    Bit_writer.put bw bit;
-    let inverse = 1 - bit in
-    while !pending > 0 do
-      Bit_writer.put bw inverse;
-      decr pending
+  (* Output only grows and the final flush adds at least one byte, so once
+     [limit] bytes are out the result can no longer fit: [put] stops the
+     coding loop there. The check runs per output byte, off the per-symbol
+     path. *)
+  let cap = ref limit and acc = ref 0 and nbits = ref 0 in
+  let put bit =
+    acc := (!acc lsl 1) lor bit;
+    incr nbits;
+    if !nbits = 8 then begin
+      Byte_buf.add_u8 out !acc;
+      acc := 0;
+      nbits := 0;
+      if Byte_buf.length out >= !cap then raise_notrace Exit
+    end
+  in
+  let emit bit pending =
+    put bit;
+    for _ = 1 to pending do
+      put (1 - bit)
     done
   in
-  for i = 0 to n - 1 do
-    let sym = Char.code (Bytes.unsafe_get data i) in
-    let cum_lo = Model.cumulative model sym in
-    let cum_hi = cum_lo + Array.unsafe_get model.Model.freq sym in
-    let total = model.Model.total in
-    let range = !high - !low + 1 in
-    (* [cum_hi = total] and [cum_lo = 0] make the quotient trivial ([range]
-       resp. [0]); skipping the division is exact and saves the dominant
-       cost of coding the most- and least-significant symbols. *)
-    if cum_hi <> total then high := !low + (range * cum_hi / total) - 1;
-    if cum_lo <> 0 then low := !low + (range * cum_lo / total);
-    let continue = ref true in
-    while !continue do
-      if !high < half then emit 0
-      else if !low >= half then begin
-        emit 1;
-        low := !low - half;
-        high := !high - half
+  let freq = Array.make 256 1 and total = ref 256 in
+  let low = ref 0 and high = ref (whole - 1) and pending = ref 0 in
+  match
+    for i = 0 to n - 1 do
+      let sym = Char.code (Bytes.unsafe_get data i) in
+      let f = Array.unsafe_get freq sym and tot = !total in
+      let range = !high - !low + 1 in
+      (* [cum_hi = tot] and [cum_lo = 0] make the quotient trivial ([range]
+         resp. [0]); skipping the division is exact. *)
+      if sym = 0 then begin
+        if f <> tot then high := !low + (range * f / tot) - 1
       end
-      else if !low >= quarter && !high < three_quarter then begin
-        incr pending;
-        low := !low - quarter;
-        high := !high - quarter
-      end
-      else continue := false;
-      if !continue then begin
+      else begin
+        let cum_lo = ref 0 in
+        for s = 0 to sym - 1 do
+          cum_lo := !cum_lo + Array.unsafe_get freq s
+        done;
+        let cum_hi = !cum_lo + f in
+        if cum_hi <> tot then high := !low + (range * cum_hi / tot) - 1;
+        low := !low + (range * !cum_lo / tot)
+      end;
+      while !high < half || !low >= half || (!low >= quarter && !high < three_quarter) do
+        if !high < half then begin
+          emit 0 !pending;
+          pending := 0
+        end
+        else if !low >= half then begin
+          emit 1 !pending;
+          pending := 0;
+          low := !low - half;
+          high := !high - half
+        end
+        else begin
+          incr pending;
+          low := !low - quarter;
+          high := !high - quarter
+        end;
         low := !low lsl 1;
         high := (!high lsl 1) + 1
-      end
+      done;
+      Array.unsafe_set freq sym (f + increment);
+      total := if tot + increment >= max_total then rescale freq else tot + increment
+    done
+  with
+  | exception Exit -> None
+  | () ->
+    (* Disambiguate the final interval, then pad to a byte. *)
+    cap := max_int;
+    emit (if !low < quarter then 0 else 1) (!pending + 1);
+    while !nbits <> 0 do
+      put 0
     done;
-    Model.update model sym
-  done;
-  (* Disambiguate the final interval. *)
-  incr pending;
-  if !low < quarter then emit 0 else emit 1;
-  Bit_writer.flush bw;
-  Byte_buf.contents out
-
-let encode_stats = Memo_stats.register "rc.encode"
-let decode_stats = Memo_stats.register "rc.decode"
-
-(* Shared miss path for both memo tables: profile the recompute, account
-   the resident footprint (input + output bytes), reset at capacity. *)
-let memo_insert stats tbl key ~input ~output ~prior =
-  Memo_stats.miss stats;
-  (match prior with
-  | None -> ()
-  | Some (old_in, old_out) ->
-    Memo_stats.mismatch stats;
-    Memo_stats.replaced stats
-      ~old_bytes:(Bytes.length old_in + Bytes.length old_out)
-      ~bytes:(Bytes.length input + Bytes.length output));
-  if Hashtbl.length tbl >= memo_limit then begin
-    Memo_stats.evicted stats ~entries:(Hashtbl.length tbl);
-    Hashtbl.reset tbl
-  end;
-  if not (Hashtbl.mem tbl key) then
-    Memo_stats.added stats ~bytes:(Bytes.length input + Bytes.length output);
-  Hashtbl.replace tbl key (input, output)
+    if Byte_buf.length out <= limit then Some (Byte_buf.contents out) else None
 
 let encode data =
-  let memo = Domain.DLS.get memo_key in
-  let key = content_key data in
-  match Hashtbl.find_opt memo key with
-  | Some (input, coded) when Bytes.equal input data ->
-    Memo_stats.hit encode_stats;
-    Bytes.copy coded
-  | prior ->
-    let coded = encode_raw data in
-    memo_insert encode_stats memo key ~input:(Bytes.copy data) ~output:coded
-      ~prior;
-    Bytes.copy coded
+  match encode_within ~limit:max_int data with Some coded -> coded | None -> assert false
+
+(* Each coded symbol costs at least log2 (65535 / 65280) ≈ 0.0056 bits, over
+   1/178 bit: while coding, the total stays below [max_total] = 65535 and the
+   other 255 symbols keep frequency ≥ 1, so no symbol's probability exceeds
+   65280/65535. Every bit the encoder emits therefore carries at most ~178
+   symbols (the +1 of each floored interval bound adds under 2^-30 per
+   step; long zero runs measure ~128), so a declared length above
+   [256 × 8 × body bytes] cannot be genuine. Checking it before
+   [Bytes.create] keeps a forged varint from allocating. *)
+let max_symbols ~body_bytes = 256 * 8 * body_bytes
 
 let decode_raw blob =
   let r = Byte_buf.Reader.of_bytes blob in
   let n = Byte_buf.Reader.varint r in
+  let len = Bytes.length blob in
+  let pos = ref (Byte_buf.Reader.pos r) in
+  if n < 0 || n > max_symbols ~body_bytes:(len - !pos) then
+    failwith "Range_coder.decode: declared length exceeds what the body can encode";
   let out = Bytes.create n in
-  let br = Bit_reader.create r in
-  let model = Model.create () in
+  let freq = Array.make 256 1 and total = ref 256 in
+  let acc = ref 0 and nbits = ref 0 in
+  let get () =
+    if !nbits = 0 then begin
+      acc := (if !pos < len then Char.code (Bytes.unsafe_get blob !pos) else 0);
+      incr pos;
+      nbits := 8
+    end;
+    decr nbits;
+    (!acc lsr !nbits) land 1
+  in
   let low = ref 0 and high = ref (whole - 1) and value = ref 0 in
   for _ = 1 to code_bits do
-    value := (!value lsl 1) lor Bit_reader.get br
+    value := (!value lsl 1) lor get ()
   done;
   for i = 0 to n - 1 do
-    let total = model.Model.total in
+    let tot = !total and f0 = Array.unsafe_get freq 0 in
     let range = !high - !low + 1 in
-    let target = (((!value - !low + 1) * total) - 1) / range in
-    let target = if target > total - 1 then total - 1 else target in
-    let sym, cum_lo = Model.find model target in
-    let cum_hi = cum_lo + Array.unsafe_get model.Model.freq sym in
-    if cum_hi <> total then high := !low + (range * cum_hi / total) - 1;
-    if cum_lo <> 0 then low := !low + (range * cum_lo / total);
-    let continue = ref true in
-    while !continue do
+    (* Symbol 0 owns targets [0, f0): [target < f0] with [target =
+       ((value - low + 1) * tot - 1) / range] is exactly this product test. *)
+    let sym =
+      if (!value - !low + 1) * tot <= f0 * range then begin
+        if f0 <> tot then high := !low + (range * f0 / tot) - 1;
+        0
+      end
+      else begin
+        let target = (((!value - !low + 1) * tot) - 1) / range in
+        let target = if target > tot - 1 then tot - 1 else target in
+        let cum_lo = ref f0 and s = ref 1 in
+        while !cum_lo + Array.unsafe_get freq !s <= target do
+          cum_lo := !cum_lo + Array.unsafe_get freq !s;
+          incr s
+        done;
+        let cum_hi = !cum_lo + Array.unsafe_get freq !s in
+        if cum_hi <> tot then high := !low + (range * cum_hi / tot) - 1;
+        low := !low + (range * !cum_lo / tot);
+        !s
+      end
+    in
+    while !high < half || !low >= half || (!low >= quarter && !high < three_quarter) do
       if !high < half then ()
       else if !low >= half then begin
         low := !low - half;
         high := !high - half;
         value := !value - half
       end
-      else if !low >= quarter && !high < three_quarter then begin
+      else begin
         low := !low - quarter;
         high := !high - quarter;
         value := !value - quarter
-      end
-      else continue := false;
-      if !continue then begin
-        low := !low lsl 1;
-        high := (!high lsl 1) + 1;
-        value := (!value lsl 1) lor Bit_reader.get br
-      end
+      end;
+      low := !low lsl 1;
+      high := (!high lsl 1) + 1;
+      value := (!value lsl 1) lor get ()
     done;
-    Model.update model sym;
+    Array.unsafe_set freq sym (Array.unsafe_get freq sym + increment);
+    total := if tot + increment >= max_total then rescale freq else tot + increment;
     Bytes.unsafe_set out i (Char.unsafe_chr sym)
   done;
   out
 
-(* Decode gets the same memo treatment as encode: the client applies the
-   same coded pages every time a workload's sync stream repeats, and decode
-   is a pure function of the blob. *)
+(* Decode is a pure function of the blob, and the client applies the same
+   coded pages every time a workload's sync stream repeats, so a small
+   content-keyed memo short-circuits most decodes. Hash collisions cannot
+   corrupt output: the stored input is compared byte-for-byte before the
+   cached result is reused, and both sides of the memo are copies so callers
+   can keep mutating their buffers. Domain-local (Domain.DLS): each domain
+   gets a private table, so parallel fleet shards never contend on — or
+   corrupt — a shared Hashtbl; per-domain cold starts change hit counts
+   only, never output bytes. *)
+let memo_limit = 1024
+
 let decode_memo_key : (int, bytes * bytes) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
+let decode_stats = Memo_stats.register "rc.decode"
+
 let decode blob =
-  let decode_memo = Domain.DLS.get decode_memo_key in
-  let key = content_key blob in
-  match Hashtbl.find_opt decode_memo key with
+  let memo = Domain.DLS.get decode_memo_key in
+  let key = Hashing.quick blob in
+  match Hashtbl.find_opt memo key with
   | Some (input, data) when Bytes.equal input blob ->
     Memo_stats.hit decode_stats;
     Bytes.copy data
   | prior ->
     let data = decode_raw blob in
-    memo_insert decode_stats decode_memo key ~input:(Bytes.copy blob)
-      ~output:data ~prior;
+    Memo_stats.miss decode_stats;
+    (* Footprint: input + output bytes. *)
+    (match prior with
+    | None -> ()
+    | Some (old_in, old_out) ->
+      Memo_stats.mismatch decode_stats;
+      Memo_stats.replaced decode_stats
+        ~old_bytes:(Bytes.length old_in + Bytes.length old_out)
+        ~bytes:(Bytes.length blob + Bytes.length data));
+    if Hashtbl.length memo >= memo_limit then begin
+      Memo_stats.evicted decode_stats ~entries:(Hashtbl.length memo);
+      Hashtbl.reset memo
+    end;
+    if not (Hashtbl.mem memo key) then
+      Memo_stats.added decode_stats ~bytes:(Bytes.length blob + Bytes.length data);
+    Hashtbl.replace memo key (Bytes.copy blob, data);
     Bytes.copy data
 
 let ratio data =
@@ -270,19 +248,15 @@ let guard_tag_raw = 0
 let guard_tag_rc = 1
 
 let encode_guarded data =
-  let coded = encode data in
-  if Bytes.length coded < Bytes.length data then begin
-    let out = Bytes.create (Bytes.length coded + 1) in
-    Bytes.set out 0 (Char.chr guard_tag_rc);
-    Bytes.blit coded 0 out 1 (Bytes.length coded);
-    out
-  end
-  else begin
-    let out = Bytes.create (Bytes.length data + 1) in
-    Bytes.set out 0 (Char.chr guard_tag_raw);
-    Bytes.blit data 0 out 1 (Bytes.length data);
-    out
-  end
+  let tag, body =
+    match encode_within ~limit:(Bytes.length data - 1) data with
+    | Some coded -> (guard_tag_rc, coded)
+    | None -> (guard_tag_raw, data)
+  in
+  let out = Bytes.create (Bytes.length body + 1) in
+  Bytes.set out 0 (Char.chr tag);
+  Bytes.blit body 0 out 1 (Bytes.length body);
+  out
 
 let decode_guarded blob =
   if Bytes.length blob = 0 then failwith "Range_coder.decode_guarded: empty input"

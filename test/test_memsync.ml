@@ -199,6 +199,113 @@ let hash_ref_unknown_rejected () =
     (Failure "Memsync: hash reference to unknown page content") (fun () ->
       ignore (Memsync.decode_records store mem [ (4L, Memsync.Enc_hash_ref, body) ]))
 
+(* ---- adaptive selection against the four-candidate fold ----
+
+   The selection as first written: encode every candidate in full and keep
+   the first shortest. The bounded selection must pick the same encoding
+   and the same body, with and without a baseline. *)
+
+let fold_oracle ~previous current =
+  let candidates =
+    (Memsync.Enc_raw, current)
+    :: (Memsync.Enc_raw_rc, Grt_util.Range_coder.encode current)
+    ::
+    (match previous with
+    | Some prev ->
+      let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
+      [ (Memsync.Enc_delta, d); (Memsync.Enc_delta_rc, Grt_util.Range_coder.encode d) ]
+    | None -> [])
+  in
+  List.fold_left
+    (fun (e0, b0) (e, b) -> if Bytes.length b < Bytes.length b0 then (e, b) else (e0, b0))
+    (List.hd candidates) (List.tl candidates)
+
+type page_shape = Zeros | Fill of char | Noise of int | Noise_prefix of int * int
+
+let page_of_shape shape edits =
+  let b =
+    match shape with
+    | Zeros -> Bytes.make Mem.page_size '\000'
+    | Fill c -> Bytes.make Mem.page_size c
+    | Noise seed -> Rng.bytes (Rng.create ~seed:(Int64.of_int seed)) Mem.page_size
+    | Noise_prefix (seed, n) ->
+      let b = Bytes.make Mem.page_size '\000' in
+      Bytes.blit (Rng.bytes (Rng.create ~seed:(Int64.of_int seed)) n) 0 b 0 n;
+      b
+  in
+  List.iter (fun (i, v) -> Bytes.set b (i mod Mem.page_size) (Char.chr v)) edits;
+  b
+
+let gen_page_shape =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Zeros;
+        map (fun c -> Fill c) char;
+        map (fun s -> Noise s) small_nat;
+        map2 (fun s n -> Noise_prefix (s, n)) small_nat (int_bound Mem.page_size);
+      ])
+
+let gen_edits = QCheck2.Gen.(list_size (int_bound 48) (pair nat (int_bound 255)))
+
+let adaptive_matches_fold =
+  qtest ~count:300 "bounded adaptive selection equals the four-candidate fold"
+    QCheck2.Gen.(triple (pair gen_page_shape gen_edits) (option gen_page_shape) gen_edits)
+    (fun ((shape0, edits0), shape1, edits1) ->
+      (* dirty tracking and adaptive selection on, dedup off *)
+      let cfg = cfg_of_combo (true, false, true, true, true) in
+      let mem_s, _, sender, _, pfn = mk_pair cfg ~pages:1 in
+      let first = page_of_shape shape0 edits0 in
+      (* the second page edits the first, or replaces it outright *)
+      let second =
+        match shape1 with
+        | None ->
+          let b = Bytes.copy first in
+          List.iter (fun (i, v) -> Bytes.set b (i mod Mem.page_size) (Char.chr v)) edits1;
+          b
+        | Some s -> page_of_shape s edits1
+      in
+      let ship page =
+        Mem.set_page mem_s pfn page;
+        (Memsync.sync_meta sender mem_s).Memsync.records
+      in
+      let agrees ~previous page = function
+        | [ (r : Memsync.page_record) ] ->
+          let enc, body = fold_oracle ~previous page in
+          r.Memsync.enc = enc && Bytes.equal r.Memsync.body body
+        | [] -> ( match previous with Some p -> Bytes.equal p page | None -> false)
+        | _ -> false
+      in
+      agrees ~previous:None first (ship first) && agrees ~previous:(Some first) second (ship second))
+
+(* Ties keep the earlier candidate: a page whose raw+rc coding is exactly
+   one page long ships raw, with or without a (useless) baseline. *)
+let adaptive_tie_keeps_raw () =
+  let noise = Rng.bytes (Rng.create ~seed:5L) Mem.page_size in
+  let page k =
+    let b = Bytes.make Mem.page_size '\000' in
+    Bytes.blit noise 0 b 0 k;
+    b
+  in
+  match
+    List.find_opt
+      (fun k -> Bytes.length (Grt_util.Range_coder.encode (page k)) = Mem.page_size)
+      (List.init 1024 (fun i -> 3072 + i))
+  with
+  | None -> Alcotest.fail "no noise prefix codes to exactly one page"
+  | Some k -> (
+    let mem_s, _, sender, _, pfn = mk_pair (cfg_of_combo (true, false, true, true, true)) ~pages:1 in
+    let ship name contents =
+      Mem.set_page mem_s pfn contents;
+      match (Memsync.sync_meta sender mem_s).Memsync.records with
+      | [ r ] -> check Alcotest.string name "raw" (Memsync.encoding_name r.Memsync.enc)
+      | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
+    in
+    ship "no baseline" (page k);
+    Mem.set_page mem_s pfn (Bytes.make Mem.page_size 'z');
+    ignore (Memsync.sync_meta sender mem_s);
+    ship "unrelated baseline" (page k))
+
 (* ---- tagged records in recordings ---- *)
 
 let recording_roundtrips_tagged_records () =
@@ -267,6 +374,8 @@ let () =
           Alcotest.test_case "dedup re-ships as hash reference" `Quick
             dedup_fires_on_reshipped_content;
           Alcotest.test_case "unknown hash reference rejected" `Quick hash_ref_unknown_rejected;
+          adaptive_matches_fold;
+          Alcotest.test_case "raw+rc tie with raw keeps raw" `Quick adaptive_tie_keeps_raw;
           Alcotest.test_case "tagged records roundtrip recordings" `Quick
             recording_roundtrips_tagged_records;
         ] );

@@ -415,19 +415,26 @@ let memo_stats_registry () =
         if not (List.mem_assoc k fields) then Alcotest.failf "snap_json lacks %S" k)
       [ "hits"; "misses"; "mismatches"; "evictions"; "resident"; "resident_bytes" ]
   | _ -> Alcotest.fail "snap_json is not an object");
-  (* the real hot-path memos report through the registry: a repeated encode
-     is a hit on rc.encode *)
+  (* the real hot-path memos report through the registry: a repeated decode
+     is a hit on rc.decode *)
   M.reset_counters ();
   let page = Bytes.make 4096 'x' in
   Bytes.set page 17 'y';
-  ignore (Grt_util.Range_coder.encode page);
-  ignore (Grt_util.Range_coder.encode page);
+  let coded = Grt_util.Range_coder.encode page in
+  ignore (Grt_util.Range_coder.decode coded);
+  ignore (Grt_util.Range_coder.decode coded);
   let rc =
-    match List.find_opt (fun c -> M.name c = "rc.encode") (M.all ()) with
+    match List.find_opt (fun c -> M.name c = "rc.decode") (M.all ()) with
     | Some c -> M.snapshot c
-    | None -> Alcotest.fail "rc.encode never registered"
+    | None -> Alcotest.fail "rc.decode never registered"
   in
-  check Alcotest.bool "second encode hits the memo" true (rc.M.s_hits >= 1)
+  check Alcotest.bool "second decode hits the memo" true (rc.M.s_hits >= 1);
+  (* the encode and page-hash memos cost more than they saved *)
+  List.iter
+    (fun gone ->
+      if List.exists (fun c -> M.name c = gone) (M.all ()) then
+        Alcotest.failf "%s is still registered" gone)
+    [ "rc.encode"; "memsync.hash_page" ]
 
 (* ---- Fleet reports: round trip, rendering, version skew ---- *)
 

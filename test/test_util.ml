@@ -252,6 +252,269 @@ let rc_qcheck_guarded =
       let enc = Range_coder.encode_guarded b in
       Bytes.length enc <= Bytes.length b + 1 && Bytes.equal b (Range_coder.decode_guarded enc))
 
+(* ---- Range coder against the per-byte oracle ----
+
+   The coder as first written: a frequency-array model module, a bit
+   writer and a bit reader, each called per symbol or per bit. Kept only as
+   the oracle the single-loop coder must match bit for bit, both ways. *)
+module Per_byte_coder = struct
+  let whole = 1 lsl 32
+  let half = whole lsr 1
+  let quarter = whole lsr 2
+  let three_quarter = half + quarter
+  let max_total = (1 lsl 16) - 1
+
+  type model = { freq : int array; mutable total : int }
+
+  let model () = { freq = Array.make 256 1; total = 256 }
+
+  let cumulative m sym =
+    let c = ref 0 in
+    for i = 0 to sym - 1 do
+      c := !c + m.freq.(i)
+    done;
+    !c
+
+  let find m target =
+    let c = ref 0 and sym = ref 0 in
+    while !c + m.freq.(!sym) <= target do
+      c := !c + m.freq.(!sym);
+      incr sym
+    done;
+    (!sym, !c)
+
+  let update m sym =
+    m.freq.(sym) <- m.freq.(sym) + 24;
+    m.total <- m.total + 24;
+    if m.total >= max_total then begin
+      m.total <- 0;
+      for i = 0 to 255 do
+        m.freq.(i) <- (m.freq.(i) / 2) + 1;
+        m.total <- m.total + m.freq.(i)
+      done
+    end
+
+  let encode data =
+    let out = Byte_buf.create () in
+    Byte_buf.add_varint out (Bytes.length data);
+    let acc = ref 0 and nbits = ref 0 in
+    let put bit =
+      acc := (!acc lsl 1) lor bit;
+      incr nbits;
+      if !nbits = 8 then begin
+        Byte_buf.add_u8 out !acc;
+        acc := 0;
+        nbits := 0
+      end
+    in
+    let m = model () in
+    let low = ref 0 and high = ref (whole - 1) and pending = ref 0 in
+    let emit bit =
+      put bit;
+      while !pending > 0 do
+        put (1 - bit);
+        decr pending
+      done
+    in
+    Bytes.iter
+      (fun c ->
+        let sym = Char.code c in
+        let cum_lo = cumulative m sym in
+        let cum_hi = cum_lo + m.freq.(sym) and total = m.total in
+        let range = !high - !low + 1 in
+        high := !low + (range * cum_hi / total) - 1;
+        low := !low + (range * cum_lo / total);
+        let continue = ref true in
+        while !continue do
+          if !high < half then emit 0
+          else if !low >= half then begin
+            emit 1;
+            low := !low - half;
+            high := !high - half
+          end
+          else if !low >= quarter && !high < three_quarter then begin
+            incr pending;
+            low := !low - quarter;
+            high := !high - quarter
+          end
+          else continue := false;
+          if !continue then begin
+            low := !low lsl 1;
+            high := (!high lsl 1) + 1
+          end
+        done;
+        update m sym)
+      data;
+    incr pending;
+    emit (if !low < quarter then 0 else 1);
+    while !nbits <> 0 do
+      put 0
+    done;
+    Byte_buf.contents out
+
+  let decode blob =
+    let r = Byte_buf.Reader.of_bytes blob in
+    let n = Byte_buf.Reader.varint r in
+    let acc = ref 0 and nbits = ref 0 in
+    let get () =
+      if !nbits = 0 then begin
+        acc := (if Byte_buf.Reader.remaining r > 0 then Byte_buf.Reader.u8 r else 0);
+        nbits := 8
+      end;
+      decr nbits;
+      (!acc lsr !nbits) land 1
+    in
+    let out = Bytes.create n and m = model () in
+    let low = ref 0 and high = ref (whole - 1) and value = ref 0 in
+    for _ = 1 to 32 do
+      value := (!value lsl 1) lor get ()
+    done;
+    for i = 0 to n - 1 do
+      let total = m.total and range = !high - !low + 1 in
+      let target = min (total - 1) ((((!value - !low + 1) * total) - 1) / range) in
+      let sym, cum_lo = find m target in
+      let cum_hi = cum_lo + m.freq.(sym) in
+      high := !low + (range * cum_hi / total) - 1;
+      low := !low + (range * cum_lo / total);
+      let continue = ref true in
+      while !continue do
+        if !high < half then ()
+        else if !low >= half then begin
+          low := !low - half;
+          high := !high - half;
+          value := !value - half
+        end
+        else if !low >= quarter && !high < three_quarter then begin
+          low := !low - quarter;
+          high := !high - quarter;
+          value := !value - quarter
+        end
+        else continue := false;
+        if !continue then begin
+          low := !low lsl 1;
+          high := (!high lsl 1) + 1;
+          value := (!value lsl 1) lor get ()
+        end
+      done;
+      update m sym;
+      Bytes.set out i (Char.chr sym)
+    done;
+    out
+end
+
+(* Coder inputs: zero-heavy pages with sparse edits, all-0xFF runs and
+   seeded noise, up to well past the 2,720-symbol point where the model
+   first rescales. *)
+let gen_coder_input =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2
+          (fun n edits ->
+            let b = Bytes.make n '\000' in
+            if n > 0 then List.iter (fun (i, v) -> Bytes.set b (i mod n) (Char.chr v)) edits;
+            b)
+          (int_bound 12_000)
+          (list_size (int_bound 40) (pair nat (int_bound 255)));
+        map (fun n -> Bytes.make n '\xff') (int_bound 12_000);
+        map2 (fun seed n -> Rng.bytes (Rng.create ~seed:(Int64.of_int seed)) n) int (int_bound 6_000);
+        gen_shaped_bytes;
+      ])
+
+let rc_matches_per_byte_oracle =
+  qtest ~count:150 "range coder matches the per-byte oracle bit for bit, both ways"
+    gen_coder_input
+    (fun b ->
+      let coded = Range_coder.encode b in
+      Bytes.equal coded (Per_byte_coder.encode b)
+      && Bytes.equal b (Range_coder.decode coded)
+      && Bytes.equal b (Per_byte_coder.decode coded))
+
+let rc_encode_within_is_bounded_encode =
+  qtest ~count:150 "encode_within ~limit is encode exactly when it fits"
+    QCheck2.Gen.(pair gen_coder_input (int_range (-3) 3))
+    (fun (b, slack) ->
+      let full = Range_coder.encode b in
+      let limit = Bytes.length full + slack in
+      match Range_coder.encode_within ~limit b with
+      | Some coded -> Bytes.length full <= limit && Bytes.equal coded full
+      | None -> Bytes.length full > limit)
+
+let rc_encode_within_extremes () =
+  let b = Bytes.make 4096 '\000' in
+  Bytes.set b 9 'q';
+  check Alcotest.(option bytes) "unbounded" (Some (Range_coder.encode b))
+    (Range_coder.encode_within ~limit:max_int b);
+  check Alcotest.(option bytes) "limit 0" None (Range_coder.encode_within ~limit:0 b);
+  check Alcotest.(option bytes) "negative limit" None (Range_coder.encode_within ~limit:(-1) b);
+  check Alcotest.(option bytes) "empty input, exact limit" (Some (Range_coder.encode Bytes.empty))
+    (Range_coder.encode_within ~limit:(Bytes.length (Range_coder.encode Bytes.empty)) Bytes.empty)
+
+(* A forged length varint must fail with [Failure] before the decoder
+   allocates an output buffer for it, while every genuine encode —
+   including the longest zero runs, which cost the fewest bits per
+   symbol — stays under the bound. *)
+let rc_forged_length_rejected () =
+  List.iter
+    (fun n ->
+      let forged = Byte_buf.create () in
+      Byte_buf.add_varint forged n;
+      Byte_buf.add_bytes forged (Bytes.of_string "\x12\x34\x56");
+      let blob = Byte_buf.contents forged in
+      let before = Gc.allocated_bytes () in
+      (match Range_coder.decode blob with
+      | _ -> Alcotest.failf "declared length %d accepted" n
+      | exception Failure _ -> ());
+      let spent = Gc.allocated_bytes () -. before in
+      if spent > 4096. then Alcotest.failf "rejecting length %d allocated %.0f bytes" n spent)
+    [ 1 lsl 40; 1 lsl 20; (256 * 8 * 3) + 1 ];
+  List.iter
+    (fun (name, b) ->
+      check Alcotest.bytes (name ^ " round-trips under the bound") b
+        (Range_coder.decode (Range_coder.encode b)))
+    [
+      ("1 MB of zeros", Bytes.make (1 lsl 20) '\000');
+      ("1 MB of 0xFF", Bytes.make (1 lsl 20) '\xff');
+    ]
+
+(* ---- FNV-1a against the byte-at-a-time reference ---- *)
+
+let fnv1a_reference seed b ~pos ~len =
+  let h = ref seed in
+  for i = pos to pos + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)))) 0x100000001B3L
+  done;
+  !h
+
+let fnv1a_zero_words_match_reference =
+  qtest ~count:300 "zero-word FNV-1a matches the byte-at-a-time reference"
+    QCheck2.Gen.(
+      triple
+        (map2
+           (fun n edits ->
+             let b = Bytes.make n '\000' in
+             if n > 0 then List.iter (fun (i, v) -> Bytes.set b (i mod n) (Char.chr v)) edits;
+             b)
+           (int_bound 200)
+           (list_size (int_bound 6) (pair nat (int_bound 255))))
+        int64 (pair nat nat))
+    (fun (b, seed, (p, l)) ->
+      let n = Bytes.length b in
+      let offset = 0xCBF29CE484222325L in
+      let slices_agree =
+        (* every alignment: each start offset within a word, any length *)
+        List.for_all
+          (fun pos ->
+            pos > n
+            ||
+            let len = if n - pos = 0 then 0 else l mod (n - pos + 1) in
+            Int64.equal (Hashing.fnv1a_sub b ~pos ~len) (fnv1a_reference offset b ~pos ~len))
+          (List.init 8 (fun k -> (p + k) mod (n + 1)))
+      in
+      slices_agree
+      && Int64.equal (Hashing.fnv1a_bytes b) (fnv1a_reference offset b ~pos:0 ~len:n)
+      && Int64.equal (Hashing.fnv1a_bytes ~seed b) (fnv1a_reference seed b ~pos:0 ~len:n))
+
 (* ---- Delta ---- *)
 
 let delta_identity () =
@@ -448,6 +711,7 @@ let () =
           Alcotest.test_case "hmac keys" `Quick hashing_hmac_keys;
           Alcotest.test_case "crc32 known value" `Quick crc32_known;
           Alcotest.test_case "crc32 detects flip" `Quick crc32_detects_flip;
+          fnv1a_zero_words_match_reference;
         ] );
       ( "range_coder",
         [
@@ -461,6 +725,10 @@ let () =
           rc_qcheck_sparse;
           rc_qcheck_shaped;
           rc_qcheck_guarded;
+          rc_matches_per_byte_oracle;
+          rc_encode_within_is_bounded_encode;
+          Alcotest.test_case "encode_within extremes" `Quick rc_encode_within_extremes;
+          Alcotest.test_case "forged length rejected" `Quick rc_forged_length_rejected;
         ] );
       ( "delta",
         [
