@@ -63,7 +63,7 @@ val create :
   ?tracer:Grt_sim.Tracer.t ->
   ?hists:Grt_sim.Hist.set ->
   ?history:history ->
-  ?sync_store:Memsync.Store.s ->
+  ?sync_store:Memsync.shared ->
   ?wire_overhead:int ->
   ?replay_prefix:Recording.entry list ->
   unit ->

@@ -60,7 +60,29 @@ module Store = struct
   let file (s : s) h data = Hashtbl.replace s h data
   let learn s data = file s (hash_page data) data
   let find (s : s) h = Hashtbl.find_opt s h
+
+  (* The store's own buffer for [data], filed under [h], if it holds that
+     content. *)
+  let holding s h data =
+    match find s h with Some b when b == data || Bytes.equal b data -> Some b | _ -> None
 end
+
+(* One cache key's codec book: what [cheapest] chose for a (baseline, page)
+   pair, keyed by their content hashes. An entry names the shared store
+   buffers it was computed from, and is used only while the store still
+   holds those very buffers and they equal the session's: no hash is
+   trusted. The buffers are the store's, so the book adds only bodies. *)
+type book_entry = {
+  base : bytes;  (* the store's baseline buffer; [Bytes.empty] for none *)
+  page : bytes;  (* the store's page buffer *)
+  b_enc : encoding;
+  b_body : bytes;
+}
+
+type shared = { pages : Store.s; book : (int64, book_entry) Hashtbl.t }
+
+let create_shared () = { pages = Store.create (); book = Hashtbl.create 256 }
+let shared_pages sh = sh.pages
 
 (* Flat scan state for [sync_meta]: the merged meta-pfn set as a sorted int
    array, with the generation each pfn carried when last examined (-1 =
@@ -69,7 +91,6 @@ end
 type meta_fast = {
   mf_pfns : int array;  (* merged meta pfns, sorted ascending *)
   mf_last : int array;  (* generation at last examination; -1 = never *)
-  mutable mf_pfns64 : int64 list option;  (* lazy boxed view for {!meta_pfns} *)
 }
 
 (* Walked page-table pages with flat generation stamps: the walk is redone
@@ -93,22 +114,23 @@ type t = {
   recv_store : Store.s;
       (* bodies received from the peer (receiver role for the opposite
          direction): resolves inbound hash references *)
-  mutable region_pfn_cache : int64 list option;
-  mutable region_pfn_fast : int array option;  (* same set, sorted int array *)
+  mutable meta_regions : int array;
+      (* materialized pages of the metastate regions, sorted and deduped;
+         each registration merges its contiguous range in *)
   mutable pt_cache : pt_cache option;
   mutable meta_fast : meta_fast option;
   mutable meta_stale : bool;
-      (* a root/region registration may have changed the merged set: rebuild
-         it on next use. The stale [meta_fast] is kept — its last-examined
-         stamps carry over to the rebuilt set, like the old per-pfn stamp
-         table survived cache invalidations. *)
+      (* a root or metastate-region registration may have changed the
+         merged set: rebuild it on next use. The stale [meta_fast] is kept —
+         its last-examined stamps carry over to the rebuilt set. *)
   mutable walk_scratch : int array;  (* reusable buffer for the pt walk *)
   shipped_data : (string, unit) Hashtbl.t; (* data regions the peer holds (Naive) *)
-  shared : Store.s option;
-      (* fleet-wide store shared by every session recorded under the same
+  shared : shared option;
+      (* fleet-wide state shared by every session recorded under the same
          cache key: content another session already pushed to this client
          population travels as a hash reference (wire accounting only — the
-         logged record keeps its full self-contained encoding) *)
+         logged record keeps its full self-contained encoding), and the
+         codec book spares re-encoding a pair another session encoded *)
 }
 
 let create ?shared cfg =
@@ -119,8 +141,7 @@ let create ?shared cfg =
     baseline = Hashtbl.create 256;
     sent_store = Store.create ();
     recv_store = Store.create ();
-    region_pfn_cache = None;
-    region_pfn_fast = None;
+    meta_regions = [||];
     pt_cache = None;
     meta_fast = None;
     meta_stale = false;
@@ -131,11 +152,42 @@ let create ?shared cfg =
 
 let tagged_wire cfg = cfg.Mode.memsync_dedup || cfg.Mode.memsync_adaptive
 
+(* Merge the contiguous run [lo, lo + n) into the sorted, deduped [a];
+   returns [a] itself when the run adds nothing. *)
+let merge_run a ~lo ~n =
+  let hi = lo + n in
+  let len = Array.length a in
+  (* [i]: first element >= lo; [j]: first element >= hi *)
+  let rec first_ge v l r =
+    if l >= r then l
+    else
+      let m = (l + r) / 2 in
+      if a.(m) < v then first_ge v (m + 1) r else first_ge v l m
+  in
+  let i = first_ge lo 0 len in
+  let j = first_ge hi i len in
+  if j - i = n then a
+  else begin
+    let out = Array.make (i + n + (len - j)) 0 in
+    Array.blit a 0 out 0 i;
+    for k = 0 to n - 1 do
+      out.(i + k) <- lo + k
+    done;
+    Array.blit a j out (i + n) (len - j);
+    out
+  end
+
 let register_region t r =
   t.regions <- r :: t.regions;
-  t.region_pfn_cache <- None;
-  t.region_pfn_fast <- None;
-  t.meta_stale <- true
+  if Session.usage_is_metastate r.usage then begin
+    (* Materialized pages of a region: its allocation is PA-contiguous. *)
+    let n = max 1 ((r.actual_bytes + Mem.page_size - 1) / Mem.page_size) in
+    let merged = merge_run t.meta_regions ~lo:(Int64.to_int (Mem.page_of_addr r.pa)) ~n in
+    if merged != t.meta_regions then begin
+      t.meta_regions <- merged;
+      t.meta_stale <- true
+    end
+  end
 
 let regions t = List.rev t.regions
 
@@ -152,36 +204,6 @@ let register_pt_root t ~fmt ~root_pa =
     t.pt_cache <- None;
     t.meta_stale <- true
   end
-
-let region_pfns r =
-  (* Materialized pages of a region: its allocation is PA-contiguous. *)
-  let first = Mem.page_of_addr r.pa in
-  let n_pages = (r.actual_bytes + Mem.page_size - 1) / Mem.page_size in
-  List.init (max 1 n_pages) (fun i -> Int64.add first (Int64.of_int i))
-
-(* Meta-region pfns, memoized: the set only changes when a region is
-   registered, which drops the cache. *)
-let meta_region_pfns t =
-  match t.region_pfn_cache with
-  | Some pfns -> pfns
-  | None ->
-    let pfns =
-      List.filter (fun r -> Session.usage_is_metastate r.usage) t.regions
-      |> List.concat_map region_pfns
-      |> List.sort_uniq Int64.compare
-    in
-    t.region_pfn_cache <- Some pfns;
-    pfns
-
-(* Sorted int-array view of the metastate region pfns, derived lazily from
-   the list cache (both drop when a region is registered). *)
-let meta_region_fast t =
-  match t.region_pfn_fast with
-  | Some a -> a
-  | None ->
-    let a = Array.of_list (List.map Int64.to_int (meta_region_pfns t)) in
-    t.region_pfn_fast <- Some a;
-    a
 
 (* Walk every registered root into [walk_scratch]; returns the table pfns
    as a fresh sorted deduped int array (the only allocation). *)
@@ -267,7 +289,7 @@ let meta_fast t mem =
   | cur ->
     t.meta_stale <- false;
     (
-    let regions = meta_region_fast t in
+    let regions = t.meta_regions in
     let np = Array.length pt and nr = Array.length regions in
     let out = Array.make (np + nr) 0 in
     let rec merge i j k =
@@ -315,18 +337,11 @@ let meta_fast t mem =
           if !oi < no && old.mf_pfns.(!oi) = p then last.(i) <- old.mf_last.(!oi)
         done
       | None -> ());
-      let mf = { mf_pfns = pfns; mf_last = last; mf_pfns64 = None } in
+      let mf = { mf_pfns = pfns; mf_last = last } in
       t.meta_fast <- Some mf;
       mf)
 
-let meta_pfns t mem =
-  let mf = meta_fast t mem in
-  match mf.mf_pfns64 with
-  | Some l -> l
-  | None ->
-    let l = Array.to_list (Array.map Int64.of_int mf.mf_pfns) in
-    mf.mf_pfns64 <- Some l;
-    l
+let meta_set t mem = (meta_fast t mem).mf_pfns
 
 type page_record = {
   pfn : int64;
@@ -391,7 +406,8 @@ let chain t ~previous current =
 
 (* Untagged records: the body doubles as the wire-accounting form; it is
    never decoded (untagged payloads carry the full contents). *)
-let encode_legacy t ~previous ~pfn ~current =
+let encode_legacy t ~previous ~pfn ~view =
+  let current = Bytes.copy view in
   let enc, body = chain t ~previous current in
   { pfn; data = current; enc; body; wire = Bytes.length body + per_page_header; cross = false }
 
@@ -414,10 +430,11 @@ let cheapest ~previous current =
   let best_delta =
     match previous with
     | None -> None
-    | Some prev ->
+    | Some prev -> (
       let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
-      let d_rc = Grt_util.Range_coder.encode d in
-      Some (if Bytes.length d_rc < Bytes.length d then (Enc_delta_rc, d_rc) else (Enc_delta, d))
+      match Grt_util.Range_coder.encode_within ~limit:(Bytes.length d - 1) d with
+      | Some d_rc -> Some (Enc_delta_rc, d_rc)
+      | None -> Some (Enc_delta, d))
   in
   let limit = match best_delta with None -> n - 1 | Some (_, b) -> min (n - 1) (Bytes.length b) in
   match (Grt_util.Range_coder.encode_within ~limit current, best_delta) with
@@ -425,11 +442,37 @@ let cheapest ~previous current =
   | None, Some (enc, b) when Bytes.length b < n -> (enc, b)
   | None, _ -> (Enc_raw, current)
 
-let encode_tagged t ~previous ~pfn ~current =
+(* [cheapest] through the key's book. [h] is [current]'s hash, and
+   [current] is the store's buffer for that content or a fresh copy about
+   to be filed. A pair whose baseline the store does not hold is computed
+   without the book. *)
+let cheapest_booked sh ~previous ~h current =
+  let base, key =
+    match previous with
+    | None -> (Some Bytes.empty, h)
+    | Some prev ->
+      let hb = hash_page prev in
+      (Store.holding sh.pages hb prev, Grt_util.Hashing.combine hb h)
+  in
+  match base with
+  | None -> cheapest ~previous current
+  | Some base -> (
+    match Hashtbl.find_opt sh.book key with
+    | Some e when e.base == base && e.page == current -> (e.b_enc, e.b_body)
+    | _ ->
+      let enc, body = cheapest ~previous current in
+      Hashtbl.replace sh.book key { base; page = current; b_enc = enc; b_body = body };
+      (enc, body))
+
+let encode_tagged t ~previous ~pfn ~view =
+  let h = hash_page view in
+  (* A page the key's shared store holds is not copied: the session takes
+     the store's buffer, so every session of the key shares one copy. *)
+  let held = match t.shared with Some sh -> Store.holding sh.pages h view | None -> None in
+  let current = match held with Some b -> b | None -> Bytes.copy view in
   let mk enc body =
     { pfn; data = current; enc; body; wire = tagged_record_wire ~pfn ~body; cross = false }
   in
-  let h = hash_page current in
   let hash_hit =
     t.cfg.Mode.memsync_dedup
     &&
@@ -447,8 +490,11 @@ let encode_tagged t ~previous ~pfn ~current =
       (* dedup without adaptive selection: a store miss falls back to the
          historical chain, byte-identical to the untagged wire format *)
       let enc, body =
-        if t.cfg.Mode.memsync_adaptive then cheapest ~previous current
-        else chain t ~previous current
+        if not t.cfg.Mode.memsync_adaptive then chain t ~previous current
+        else
+          match t.shared with
+          | Some sh -> cheapest_booked sh ~previous ~h current
+          | None -> cheapest ~previous current
       in
       mk enc body
   in
@@ -458,15 +504,13 @@ let encode_tagged t ~previous ~pfn ~current =
      recording is identical with or without a shared store; only the wire
      charge and the [cross] flag change. *)
   let r =
-    match t.shared with
-    | Some sh when t.cfg.Mode.memsync_dedup && r.enc <> Enc_hash_ref -> (
-      match Store.find sh h with
-      | Some b when Bytes.equal b current -> { r with wire = hash_ref_wire ~pfn; cross = true }
-      | _ -> r)
-    | _ -> r
+    if t.cfg.Mode.memsync_dedup && r.enc <> Enc_hash_ref && Option.is_some held then
+      { r with wire = hash_ref_wire ~pfn; cross = true }
+    else r
   in
   Store.file t.sent_store h current;
-  (match t.shared with Some sh -> Store.file sh h current | None -> ());
+  (* an equal buffer already filed stays: the book's entries name it *)
+  (match t.shared with Some sh when Option.is_none held -> Store.file sh.pages h current | _ -> ());
   r
 
 (* Stand-in contents of a never-materialized page: compared against (and
@@ -493,24 +537,24 @@ let sync_meta t mem =
     if not unchanged then begin
       incr visited;
       Array.unsafe_set last i gen;
-      (* Compare in place against the baseline; copy only when the page
-         actually changed (the copy is then shared by the shipped record
-         and the new baseline entry — both are read-only downstream). *)
+      (* Compare in place against the baseline; the encoder takes a
+         read-only copy only when the page actually changed (shared by the
+         shipped record and the new baseline entry — both are read-only
+         downstream). *)
       let view = page_view mem pfn in
       let prev = try Hashtbl.find t.baseline pfn with Not_found -> Bytes.empty in
       let same = prev != Bytes.empty && Bytes.equal prev view in
       if not same then begin
         raw := !raw + Mem.page_size;
-        let current = Bytes.copy view in
         let previous = if prev == Bytes.empty then None else Some prev in
-        let pfn = Int64.of_int pfn in
+        let pfn64 = Int64.of_int pfn in
         let r =
-          if tagged then encode_tagged t ~previous ~pfn ~current
-          else encode_legacy t ~previous ~pfn ~current
+          if tagged then encode_tagged t ~previous ~pfn:pfn64 ~view
+          else encode_legacy t ~previous ~pfn:pfn64 ~view
         in
         records := r :: !records;
         wire := !wire + r.wire;
-        Hashtbl.replace t.baseline (Int64.to_int pfn) current
+        Hashtbl.replace t.baseline pfn r.data
       end
     end
   done;
@@ -553,7 +597,10 @@ let note_shipped t pfn contents =
   if tagged_wire t.cfg then begin
     let h = hash_page contents in
     Store.file t.sent_store h contents;
-    match t.shared with Some sh -> Store.file sh h contents | None -> ()
+    match t.shared with
+    | Some sh when Option.is_none (Store.holding sh.pages h contents) ->
+      Store.file sh.pages h contents
+    | _ -> ()
   end
 
 (* Walk the descriptor chain in local memory and apply [f] to every data

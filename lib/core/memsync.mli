@@ -15,10 +15,12 @@
 
     The fast path: {!Grt_gpu.Mem.page_gen} stamps let [sync_meta] skip pages
     untouched since their last examination ([Mode.memsync_dirty]); the page-
-    table walk and region page lists are cached and invalidated by the same
-    stamps. With [Mode.memsync_dedup] / [Mode.memsync_adaptive] the wire
-    switches to tagged page records carrying the cheapest encoding per page,
-    including an 8-byte reference to content the peer provably holds. *)
+    table walk is cached and invalidated by the same stamps, and each
+    metastate region registration merges its page range into a flat sorted
+    set (data regions leave it alone). With [Mode.memsync_dedup] /
+    [Mode.memsync_adaptive] the wire switches to tagged page records
+    carrying the cheapest encoding per page, including an 8-byte reference
+    to content the peer provably holds. *)
 
 type region = {
   name : string;
@@ -54,18 +56,40 @@ module Store : sig
       caller must not mutate [data] afterwards. *)
 
   val find : s -> int64 -> bytes option
+
+  val file : s -> int64 -> bytes -> unit
+  (** [file s h data] files [data] itself under [h], replacing what was
+      there. {!learn} is [file s (hash_page data) data]; passing any other
+      [h] models a hash collision. *)
 end
+
+type shared
+(** State shared by all sessions recorded under one cache key (see
+    {!Service}):
+    - the content store of every page body the key's sessions shipped;
+    - the codec book: for each (baseline, page) pair a session encoded, the
+      encoding the adaptive selection chose. A later session encoding the
+      same pair reuses it, provided the store still holds the very buffers
+      the entry was computed from and they equal the session's own (no hash
+      is trusted). The book keeps references to the store's buffers, never
+      copies. *)
+
+val create_shared : unit -> shared
+
+val shared_pages : shared -> Store.s
+(** The key's content store. Filing other bytes under a page's hash models
+    a hash collision, which the book must not trust. *)
 
 type t
 
-val create : ?shared:Store.s -> Mode.config -> t
-(** [?shared] is a fleet-wide content store shared by all sessions recorded
-    under the same cache key (see {!Service}): a page body some earlier
+val create : ?shared:shared -> Mode.config -> t
+(** [?shared] is the key's {!shared} state: a page body some earlier
     same-key session already shipped is charged to the wire as an 8-byte
     hash reference ([cross = true] on its record) instead of its full
-    encoding. Sharing affects wire accounting and metrics only — the logged
-    record keeps the full self-contained encoding, so recordings are
-    byte-identical with or without a shared store. *)
+    encoding, and adaptive selection goes through the codec book. Sharing
+    affects wire accounting, metrics and host time only — the logged record
+    keeps the full self-contained encoding, so recordings are byte-identical
+    with or without it. *)
 
 val register_region : t -> region -> unit
 val regions : t -> region list
@@ -74,14 +98,18 @@ val region_containing : t -> va:int64 -> region option
 val register_pt_root : t -> fmt:Grt_gpu.Sku.pt_format -> root_pa:int64 -> unit
 (** Called when the shim observes an AS_TRANSTAB programming. *)
 
-val meta_pfns : t -> Grt_gpu.Mem.t -> int64 list
+val meta_set : t -> Grt_gpu.Mem.t -> int array
 (** Current metastate page set, sorted. Cached: the page-table walk reruns
-    only when a walked table page's generation stamp moved or a root/region
-    was registered. *)
+    only when a walked table page's generation stamp moved, and the merged
+    set is rebuilt only when a root or a metastate region was registered.
+    The array is the cache itself: the caller must not mutate it. *)
 
 type page_record = {
   pfn : int64;
-  data : bytes;  (** full page contents *)
+  data : bytes;
+      (** full page contents; read-only: the sender keeps the same buffer
+          as its baseline and, on the tagged wire, in its content stores —
+          under a {!shared} state, across every session of the key *)
   enc : encoding;
   body : bytes;  (** wire form of the contents under [enc] *)
   wire : int;  (** bytes charged to the link for this record, header included *)

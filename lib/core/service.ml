@@ -98,11 +98,13 @@ type session_report = {
 (* Per-key state that outlives cache residency: eviction drops the signed
    blob, not the fleet's knowledge. The shared memsync store models what
    the client population already holds, so a re-recording after eviction
-   ships mostly hash references; the stats feed the cache listing. *)
+   ships mostly hash references, and its codec book spares re-encoding the
+   pages an earlier recording of the key encoded; the stats feed the cache
+   listing. *)
 type keyed = {
   key : key;
   label : string;
-  sync_store : Memsync.Store.s;
+  sync_store : Memsync.shared;
   mutable hits : int;  (* cache hits + coalesced serves *)
   mutable recordings : int;
   mutable evictions : int;
@@ -287,7 +289,14 @@ let history_for w spec = find_or_add w.w_histories (share_group spec) Spec_histo
 
 let keyed_for t key ~label =
   find_or_add t.keyed_tbl key (fun () ->
-      { key; label; sync_store = Memsync.Store.create (); hits = 0; recordings = 0; evictions = 0 })
+      {
+        key;
+        label;
+        sync_store = Memsync.create_shared ();
+        hits = 0;
+        recordings = 0;
+        evictions = 0;
+      })
 
 (* ---- arrival-time decisions ----
 

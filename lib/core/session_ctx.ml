@@ -2,7 +2,7 @@ module Link = Grt_net.Link
 
 type options = {
   history : Spec_history.t option;
-  sync_store : Memsync.Store.s option;
+  sync_store : Memsync.shared option;
   inject_fault_after : int option;
   window : int;
   trace_capacity : int option;
@@ -35,7 +35,7 @@ type t = {
   hists : Grt_sim.Hist.set option;
   link : Link.t;
   history : Spec_history.t;
-  sync_store : Memsync.Store.s option;
+  sync_store : Memsync.shared option;
   mutable inject_fault_after : int option;
   mutable rollbacks : int;
   mutable rollback_s : float;

@@ -14,9 +14,9 @@ type options = {
   history : Spec_history.t option;
       (** speculation history to reuse; fresh when [None]. Shared across
           sessions by the recording service (§7.3). *)
-  sync_store : Memsync.Store.s option;
-      (** fleet-shared memsync content store (see {!Memsync.create});
-          [None] for a solo session *)
+  sync_store : Memsync.shared option;
+      (** fleet-shared memsync state: content store and codec book (see
+          {!Memsync.create}); [None] for a solo session *)
   inject_fault_after : int option;
       (** corrupt the response to the [n]-th speculated commit of the first
           attempt, forcing one rollback *)
@@ -45,7 +45,7 @@ type t = {
   hists : Grt_sim.Hist.set option;  (** latency/size histograms; iff [observe] *)
   link : Grt_net.Link.t;
   history : Spec_history.t;  (** shared across attempts (and sessions, §7.3) *)
-  sync_store : Memsync.Store.s option;  (** fleet-shared content store *)
+  sync_store : Memsync.shared option;  (** fleet-shared memsync state *)
   mutable inject_fault_after : int option;
       (** armed once, on the first attempt that consumes it (§7.3) *)
   mutable rollbacks : int;

@@ -130,9 +130,8 @@ let page_gen_at t pfn =
 let page_gen t pfn = Int64.of_int (page_gen_at t (Int64.to_int pfn))
 
 let protect_pages t pfns =
-  List.iter
-    (fun pfn64 ->
-      let pfn = Int64.to_int pfn64 in
+  Array.iter
+    (fun pfn ->
       if pfn >= 0 && pfn < dense_limit then begin
         if pfn >= t.cap then grow t pfn;
         if Bytes.get t.protb pfn = '\000' then begin

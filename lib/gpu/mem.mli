@@ -109,7 +109,7 @@ exception Protected_page_write of int64
     from the CPU so any spurious access traps instead of silently
     diverging the two parties' views. *)
 
-val protect_pages : t -> int64 list -> unit
+val protect_pages : t -> int array -> unit
 (** Add PFNs to the protected set. *)
 
 val unprotect_all : t -> unit

@@ -55,11 +55,11 @@ let diff ~old_ ~fresh =
     spans;
   Byte_buf.contents out
 
-let apply ~old_ ~delta =
+(* [name] is the public entry point, for the error message. *)
+let patch_named name fresh ~delta =
   let r = Byte_buf.Reader.of_bytes delta in
   let total = Byte_buf.Reader.varint r in
-  if total <> Bytes.length old_ then failwith "Delta.apply: base length mismatch";
-  let fresh = Bytes.copy old_ in
+  if total <> Bytes.length fresh then failwith (name ^ ": base length mismatch");
   let count = Byte_buf.Reader.varint r in
   let pos = ref 0 in
   for _ = 1 to count do
@@ -69,7 +69,13 @@ let apply ~old_ ~delta =
     let data = Byte_buf.Reader.bytes r len in
     Bytes.blit data 0 fresh !pos len;
     pos := !pos + len
-  done;
+  done
+
+let patch fresh ~delta = patch_named "Delta.patch" fresh ~delta
+
+let apply ~old_ ~delta =
+  let fresh = Bytes.copy old_ in
+  patch_named "Delta.apply" fresh ~delta;
   fresh
 
 let is_identity delta =

@@ -14,5 +14,10 @@ val apply : old_:bytes -> delta:bytes -> bytes
 (** [apply ~old_ ~delta] reconstructs the fresh buffer. Raises [Failure] if
     the delta does not match [old_]'s length. *)
 
+val patch : bytes -> delta:bytes -> unit
+(** [patch buf ~delta] is {!apply} in place: [buf] becomes what
+    [apply ~old_:buf ~delta] returns. Raises [Failure] if the delta does not
+    match [buf]'s length. *)
+
 val is_identity : bytes -> bool
 (** [is_identity delta] is true when the delta encodes zero changed spans. *)

@@ -19,7 +19,8 @@ val encode_within : limit:int -> bytes -> bytes option
 val decode : bytes -> bytes
 (** [decode blob] inverts {!encode}. Raises [Failure] on corrupt input,
     including a declared length the body is too short to have encoded
-    (rejected before anything is allocated for it). *)
+    (rejected before anything is allocated for it). Results are memoized
+    per domain; the caller owns the returned buffer. *)
 
 val ratio : bytes -> float
 (** [ratio data] is [compressed_size /. original_size] (1.0 for empty

@@ -113,7 +113,7 @@ let set_page t pfn b =
   | None -> Hashtbl.replace t.pages pfn (Bytes.copy b));
   Hashtbl.replace t.dirty pfn ()
 
-let protect_pages t pfns = List.iter (fun p -> Hashtbl.replace t.prot p ()) pfns
+let protect_pages t pfns = Array.iter (fun p -> Hashtbl.replace t.prot (Int64.of_int p) ()) pfns
 let unprotect_all t = Hashtbl.reset t.prot
 
 let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int64.compare

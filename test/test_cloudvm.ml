@@ -68,7 +68,7 @@ let guard_basic () =
   let m = Mem.create () in
   let pa = Mem.alloc_pages m 2 in
   Mem.write_u32 m pa 1L;
-  Mem.protect_pages m [ Mem.page_of_addr pa ];
+  Mem.protect_pages m [| Int64.to_int (Mem.page_of_addr pa) |];
   (match Mem.write_u32 m pa 2L with
   | () -> Alcotest.fail "protected write succeeded"
   | exception Mem.Protected_page_write pfn ->
@@ -82,7 +82,7 @@ let guard_basic () =
 
 let guard_set_page () =
   let m = Mem.create () in
-  Mem.protect_pages m [ 0x55L ];
+  Mem.protect_pages m [| 0x55 |];
   match Mem.set_page m 0x55L (Bytes.make Mem.page_size 'x') with
   | () -> Alcotest.fail "set_page bypassed protection"
   | exception Mem.Protected_page_write _ -> ()
@@ -104,7 +104,7 @@ let spurious_access_trapped () =
   let pa = Mem.alloc_pages mem 1 in
   Mem.write_u32 mem pa 0xAAL;
   (* "ship the dump" *)
-  Mem.protect_pages mem [ Mem.page_of_addr pa ];
+  Mem.protect_pages mem [| Int64.to_int (Mem.page_of_addr pa) |];
   let trapped =
     match Mem.write_u8 mem (Int64.add pa 100L) 1 with
     | () -> false

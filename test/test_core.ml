@@ -225,9 +225,36 @@ let memsync_meta_classification () =
   Mem.write_u8 mem data_pa 1;
   Memsync.register_region ms (mk_region ~name:"shader" ~usage:Session.Code ~pa:code_pa ~bytes:128);
   Memsync.register_region ms (mk_region ~name:"weights" ~usage:Session.Weights ~pa:data_pa ~bytes:8192);
-  let metas = Memsync.meta_pfns ms mem in
-  check Alcotest.bool "code page is meta" true (List.mem (Mem.page_of_addr code_pa) metas);
-  check Alcotest.bool "weights are not" false (List.mem (Mem.page_of_addr data_pa) metas)
+  let metas = Memsync.meta_set ms mem in
+  let is_meta pa = Array.mem (Int64.to_int (Mem.page_of_addr pa)) metas in
+  check Alcotest.bool "code page is meta" true (is_meta code_pa);
+  check Alcotest.bool "weights are not" false (is_meta data_pa)
+
+(* Metastate registrations merge their page ranges into one sorted set;
+   a data region, or a metastate region already covered, leaves the set
+   as it was (the same array: nothing is rebuilt). *)
+let memsync_meta_set_merges () =
+  let mem = Mem.create () in
+  let ms = Memsync.create (Mode.default_config Mode.Ours_m) in
+  let base = Mem.alloc_pages mem 16 in
+  let pa i = Int64.add base (Int64.of_int (i * Mem.page_size)) in
+  let pfn i = Int64.to_int (Mem.page_of_addr (pa i)) in
+  let reg name usage i pages =
+    Memsync.register_region ms (mk_region ~name ~usage ~pa:(pa i) ~bytes:(pages * Mem.page_size))
+  in
+  reg "cmd-a" Session.Cmd 6 2;
+  reg "code" Session.Code 1 1;
+  reg "cmd-b" Session.Cmd 7 3;
+  reg "cmd-c" Session.Cmd 12 1;
+  let expected = Array.map pfn [| 1; 6; 7; 8; 9; 12 |] in
+  check Alcotest.(array int) "sorted union" expected (Memsync.meta_set ms mem);
+  let set = Memsync.meta_set ms mem in
+  reg "weights" Session.Weights 2 4;
+  reg "cmd-inside" Session.Cmd 7 2;
+  check Alcotest.bool "data and covered regions keep the set" true (Memsync.meta_set ms mem == set);
+  reg "cmd-gap" Session.Cmd 10 2;
+  check Alcotest.(array int) "a new range merges in" (Array.map pfn [| 1; 6; 7; 8; 9; 10; 11; 12 |])
+    (Memsync.meta_set ms mem)
 
 let memsync_pt_pages_are_meta () =
   let mem = Mem.create () in
@@ -236,7 +263,7 @@ let memsync_pt_pages_are_meta () =
   let pa = Mem.alloc_pages mem 1 in
   Grt_gpu.Mmu.map_page mmu ~va:0x1000L ~pa ~flags:Grt_gpu.Mmu.rw_data;
   Memsync.register_pt_root ms ~fmt:Sku.Lpae_v7 ~root_pa:(Grt_gpu.Mmu.root_pa mmu);
-  check Alcotest.int "all three table levels" 3 (List.length (Memsync.meta_pfns ms mem))
+  check Alcotest.int "all three table levels" 3 (Array.length (Memsync.meta_set ms mem))
 
 let memsync_sync_and_baseline () =
   let mem = Mem.create () in
@@ -540,6 +567,7 @@ let () =
       ( "memsync",
         [
           Alcotest.test_case "meta classification" `Quick memsync_meta_classification;
+          Alcotest.test_case "meta set merges region ranges" `Quick memsync_meta_set_merges;
           Alcotest.test_case "pt pages are meta" `Quick memsync_pt_pages_are_meta;
           Alcotest.test_case "sync and baseline" `Quick memsync_sync_and_baseline;
           Alcotest.test_case "apply and note" `Quick memsync_apply_and_note;

@@ -228,7 +228,7 @@ let run_script ops =
       | Alloc n ->
         both op (fun () -> Mem.alloc_pages mem n) (fun () -> Ref.alloc_pages rf n) Int64.equal show_i64
       | Protect is ->
-        let pfns = List.map (fun i -> Int64.of_int pool.(i)) is in
+        let pfns = Array.of_list (List.map (fun i -> pool.(i)) is) in
         both op (fun () -> Mem.protect_pages mem pfns) (fun () -> Ref.protect_pages rf pfns) eq_unit show_unit
       | Unprotect ->
         both op (fun () -> Mem.unprotect_all mem) (fun () -> Ref.unprotect_all rf) eq_unit show_unit
@@ -468,18 +468,18 @@ let mmu_differential =
    protects and cleared by unprotect_all. *)
 let protected_ordering () =
   let mem = Mem.create () in
-  Mem.protect_pages mem [ 0x10001L; 0x3FFL; 0x100L ];
+  Mem.protect_pages mem [| 0x10001; 0x3FF; 0x100 |];
   check (Alcotest.list Alcotest.int64) "sorted across dense/spill" [ 0x100L; 0x3FFL; 0x10001L ]
     (Mem.protected_pfns mem);
   (* Second call returns the memoized list, still sorted. *)
   check (Alcotest.list Alcotest.int64) "memoized read stable" [ 0x100L; 0x3FFL; 0x10001L ]
     (Mem.protected_pfns mem);
-  Mem.protect_pages mem [ 0x200L; 0x10000L ];
+  Mem.protect_pages mem [| 0x200; 0x10000 |];
   check (Alcotest.list Alcotest.int64) "invalidated and re-sorted"
     [ 0x100L; 0x200L; 0x3FFL; 0x10000L; 0x10001L ]
     (Mem.protected_pfns mem);
   (* Duplicate protects do not duplicate entries. *)
-  Mem.protect_pages mem [ 0x200L; 0x200L ];
+  Mem.protect_pages mem [| 0x200; 0x200 |];
   check (Alcotest.list Alcotest.int64) "idempotent"
     [ 0x100L; 0x200L; 0x3FFL; 0x10000L; 0x10001L ]
     (Mem.protected_pfns mem);

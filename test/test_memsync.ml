@@ -18,10 +18,10 @@ let qtest ?(count = 200) name gen prop =
 
 let region_pages = 16
 
-let mk_pair cfg ~pages =
+let mk_pair ?shared cfg ~pages =
   let mem_s = Mem.create () and mem_r = Mem.create () in
   let pa = Mem.alloc_pages mem_s pages in
-  let sender = Memsync.create cfg and receiver = Memsync.create cfg in
+  let sender = Memsync.create ?shared cfg and receiver = Memsync.create cfg in
   Memsync.register_region sender
     {
       Memsync.name = "cmd";
@@ -306,6 +306,143 @@ let adaptive_tie_keeps_raw () =
     ignore (Memsync.sync_meta sender mem_s);
     ship "unrelated baseline" (page k))
 
+(* A delta whose range coding is exactly as long as the delta itself ships
+   as plain delta: the bounded delta+rc candidate must keep the tie with
+   the earlier candidate, as the four-candidate fold does. *)
+let adaptive_delta_tie_keeps_delta () =
+  let base = Bytes.make Mem.page_size '\000' in
+  let noise = Rng.bytes (Rng.create ~seed:11L) Mem.page_size in
+  (* a prefix of [k] noise bytes drawn from an alphabet of [a] symbols:
+     slightly compressible, so some (a, k) codes to exactly its length *)
+  let page (a, k) =
+    let b = Bytes.copy base in
+    for i = 0 to k - 1 do
+      Bytes.set b i (Char.chr (1 + (Char.code (Bytes.get noise i) mod a)))
+    done;
+    b
+  in
+  let tie ak =
+    let d = Grt_util.Delta.diff ~old_:base ~fresh:(page ak) in
+    Bytes.length (Grt_util.Range_coder.encode d) = Bytes.length d
+  in
+  let grid =
+    List.concat_map
+      (fun a -> List.init 64 (fun i -> (a, 64 + (16 * i))))
+      (List.init 16 (fun i -> 140 + (7 * i)))
+  in
+  match List.find_opt tie grid with
+  | None -> Alcotest.fail "no noise prefix gives a delta+rc tie"
+  | Some ak -> (
+    let cfg = cfg_of_combo (true, false, true, true, true) in
+    let mem_s, _, sender, _, pfn = mk_pair cfg ~pages:1 in
+    Mem.set_page mem_s pfn base;
+    ignore (Memsync.sync_meta sender mem_s);
+    Mem.set_page mem_s pfn (page ak);
+    match (Memsync.sync_meta sender mem_s).Memsync.records with
+    | [ r ] ->
+      let enc, body = fold_oracle ~previous:(Some base) (page ak) in
+      check Alcotest.string "the fold keeps delta" "delta" (Memsync.encoding_name enc);
+      check Alcotest.string "so does the selection" "delta" (Memsync.encoding_name r.Memsync.enc);
+      check Alcotest.bytes "same body" body r.Memsync.body
+    | rs -> Alcotest.failf "expected one record, got %d" (List.length rs))
+
+(* ---- the per-key codec book ----
+
+   A "session" is a fresh sender memory and endpoint replaying one fixed
+   script of page writes: sparse edits over the previous contents (delta
+   candidates), dense noise (raw+rc or raw) and repeats (hash references).
+   Sessions of one key share a [Memsync.shared]; a solo session has none. *)
+
+let book_script =
+  let rng = Rng.create ~seed:21L in
+  let contents = Array.make region_pages (Bytes.make Mem.page_size '\000') in
+  List.init 5 (fun round ->
+      List.init 6 (fun j ->
+          let idx = ((round * 5) + (j * 3)) mod region_pages in
+          let b =
+            if j = 5 then Rng.bytes rng Mem.page_size
+            else if j = 4 && round > 0 then contents.((idx + 1) mod region_pages)
+            else begin
+              let b = Bytes.copy contents.(idx) in
+              for _ = 0 to 8 + Rng.int rng 200 do
+                Bytes.set b (Rng.int rng Mem.page_size) (Char.chr (Rng.int rng 256))
+              done;
+              b
+            end
+          in
+          contents.(idx) <- b;
+          (idx, b)))
+
+let run_session ?shared () =
+  let mem_s, _, sender, _, first =
+    mk_pair ?shared (cfg_of_combo (true, true, true, true, true)) ~pages:region_pages
+  in
+  List.concat_map
+    (fun round ->
+      List.iter (fun (idx, b) -> Mem.set_page mem_s (Int64.add first (Int64.of_int idx)) b) round;
+      (Memsync.sync_meta sender mem_s).Memsync.records)
+    book_script
+
+let logged records =
+  List.map (fun (r : Memsync.page_record) -> (r.Memsync.pfn, r.Memsync.enc, r.Memsync.body)) records
+
+(* Records whose body the adaptive selection built (range-coded or delta):
+   each is a fresh buffer unless it came out of the book, so a body
+   physically shared with an earlier session's record is a book hit. *)
+let computed records =
+  List.filter
+    (fun (r : Memsync.page_record) ->
+      r.Memsync.enc <> Memsync.Enc_raw && r.Memsync.enc <> Memsync.Enc_hash_ref)
+    records
+
+let shared_bodies earlier later =
+  List.map2
+    (fun (a : Memsync.page_record) (b : Memsync.page_record) -> a.Memsync.body == b.Memsync.body)
+    (computed earlier) (computed later)
+
+let same_log name expected records =
+  check Alcotest.bool name true (logged records = logged expected)
+
+let book_second_session_hits () =
+  let solo = run_session () in
+  let sh = Memsync.create_shared () in
+  let first = run_session ~shared:sh () in
+  let second = run_session ~shared:sh () in
+  same_log "first session logs the solo records" solo first;
+  same_log "second session logs the solo records" solo second;
+  if computed second = [] then Alcotest.fail "script ships no computed body";
+  check Alcotest.bool "every computed body of the second session comes from the book" true
+    (List.for_all Fun.id (shared_bodies first second));
+  check Alcotest.bool "and ships as a cross-session reference" true
+    (List.for_all
+       (fun (r : Memsync.page_record) -> r.Memsync.enc = Memsync.Enc_hash_ref || r.Memsync.cross)
+       second)
+
+(* The book never trusts a hash: once the store holds other bytes under a
+   page's hash, entries computed for that page are not reused, and the
+   session encodes exactly as a solo one. Later sessions hit again, on the
+   entries the recomputation left. *)
+let book_ignores_colliding_store () =
+  let solo = run_session () in
+  let sh = Memsync.create_shared () in
+  let first = run_session ~shared:sh () in
+  let other = Bytes.make Mem.page_size 'x' in
+  List.iter
+    (fun (r : Memsync.page_record) ->
+      Memsync.Store.file (Memsync.shared_pages sh) (Memsync.hash_page r.Memsync.data) other)
+    first;
+  let second = run_session ~shared:sh () in
+  if computed second = [] then Alcotest.fail "script ships no computed body";
+  check Alcotest.bool "no entry reused" true
+    (List.for_all not (shared_bodies first second));
+  same_log "output equals the store-less encoding" solo second;
+  check Alcotest.bool "no cross-session reference to the planted bytes" true
+    (List.for_all (fun (r : Memsync.page_record) -> not r.Memsync.cross) second);
+  let third = run_session ~shared:sh () in
+  same_log "a later session still logs the solo records" solo third;
+  check Alcotest.bool "and hits the rewritten entries" true
+    (List.for_all Fun.id (shared_bodies second third))
+
 (* ---- tagged records in recordings ---- *)
 
 let recording_roundtrips_tagged_records () =
@@ -376,6 +513,12 @@ let () =
           Alcotest.test_case "unknown hash reference rejected" `Quick hash_ref_unknown_rejected;
           adaptive_matches_fold;
           Alcotest.test_case "raw+rc tie with raw keeps raw" `Quick adaptive_tie_keeps_raw;
+          Alcotest.test_case "delta+rc tie with delta keeps delta" `Quick
+            adaptive_delta_tie_keeps_delta;
+          Alcotest.test_case "second session of a key hits the codec book" `Quick
+            book_second_session_hits;
+          Alcotest.test_case "codec book ignores a colliding store entry" `Quick
+            book_ignores_colliding_store;
           Alcotest.test_case "tagged records roundtrip recordings" `Quick
             recording_roundtrips_tagged_records;
         ] );

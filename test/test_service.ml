@@ -229,6 +229,46 @@ let eviction_rerecord () =
       | _ -> Alcotest.fail "expected both MNIST sessions to record")
   | _ -> Alcotest.fail "expected 3 reports"
 
+(* Differential: a churned fleet — three keys, room for one — records
+   every key repeatedly through its shared store and codec book, and each
+   of those blobs equals a standalone record of its key. *)
+let churned_fleet_matches_standalone () =
+  let keys = [| (Zoo.mnist, Sku.g71_mp8); (Zoo.mnist, Sku.g31_mp2); (Zoo.alexnet, Sku.g71_mp8) |] in
+  let specs =
+    List.init 8 (fun i ->
+        let net, sku = keys.(i mod Array.length keys) in
+        spec ~id:i ~net ~sku ~at_ms:(i * 60_000) ())
+  in
+  let reports, _ = Service.run (Service.create ~cache_capacity:1 ()) specs in
+  let standalone = Hashtbl.create 3 in
+  let recorded =
+    List.filter_map
+      (fun (r : Service.session_report) ->
+        match blob_of r with
+        | None -> None
+        | Some blob ->
+          let sp = r.Service.spec in
+          let key = Service.cache_key ~cfg:sp.Service.cfg ~sku:sp.Service.sku ~net:sp.Service.net in
+          let direct =
+            match Hashtbl.find_opt standalone key with
+            | Some b -> b
+            | None ->
+              let o =
+                Orchestrate.record ~config:sp.Service.cfg ~profile:sp.Service.profile
+                  ~mode:Mode.Ours_mds ~sku:sp.Service.sku ~net:sp.Service.net
+                  ~seed:(Service.recording_seed key) ()
+              in
+              Hashtbl.replace standalone key o.Orchestrate.blob;
+              o.Orchestrate.blob
+          in
+          check Alcotest.bool
+            (Printf.sprintf "client %d's blob = standalone record of its key" sp.Service.client_id)
+            true (Bytes.equal blob direct);
+          Some r)
+      reports
+  in
+  check Alcotest.int "every client re-records" (List.length specs) (List.length recorded)
+
 (* ---- interleaving determinism (qcheck): any small fleet, multiplexed,
    ≡ the same fleet sequential — same outcomes
    (coalesced ≡ cache hit), same blob bytes, same per-session counters.
@@ -672,6 +712,8 @@ let () =
         [
           Alcotest.test_case "second client hits" `Quick second_client_hits;
           Alcotest.test_case "eviction + cheap re-record" `Quick eviction_rerecord;
+          Alcotest.test_case "churned fleet blobs = standalone records" `Quick
+            churned_fleet_matches_standalone;
           Alcotest.test_case "service counters + aggregate" `Quick service_counter_view;
           Alcotest.test_case "tampered report blob leaves the cache intact" `Quick
             tampered_report_blob;

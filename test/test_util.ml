@@ -477,6 +477,56 @@ let rc_forged_length_rejected () =
       ("1 MB of 0xFF", Bytes.make (1 lsl 20) '\xff');
     ]
 
+(* ---- the decode memo ----
+
+   A working set of 3,000 distinct blobs (fleet-churn's seed 1 recurs over
+   1,597, where a 1,024-entry table thrashed), cycled twice on a fresh
+   domain so the memo starts empty: the first pass misses on every blob and
+   the second hits on every one. Every result equals the coded input, and a
+   caller mutating its result cannot reach a later hit. Past its 4,096-entry
+   limit the table is wiped, so it stays bounded. *)
+let rc_decode_memo_working_set () =
+  let module M = Grt_util.Memo_stats in
+  let stats = M.register "rc.decode" in
+  let limit = 4096 and n = 3000 in
+  let data =
+    Array.init (limit + 1) (fun i ->
+        let b = Bytes.make 64 '\000' in
+        Bytes.set_int64_le b 16 (Int64.of_int (0x6D656D6F_0000 + i));
+        b)
+  in
+  let blobs = Array.map Range_coder.encode data in
+  let pass () =
+    let before = M.snapshot stats in
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      if not (Bytes.equal (Range_coder.decode blobs.(i)) data.(i)) then ok := false
+    done;
+    let after = M.snapshot stats in
+    (!ok, after.M.s_hits - before.M.s_hits, after.M.s_misses - before.M.s_misses)
+  in
+  let first, second, mutated, past_limit =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let first = pass () in
+           let second = pass () in
+           let r = Range_coder.decode blobs.(0) in
+           Bytes.fill r 0 (Bytes.length r) '\xff';
+           let mutated = Range_coder.decode blobs.(0) in
+           for i = n to limit do
+             ignore (Range_coder.decode blobs.(i))
+           done;
+           (first, second, mutated, M.snapshot stats)))
+  in
+  let ok1, hits1, misses1 = first and ok2, hits2, misses2 = second in
+  check Alcotest.bool "first pass decodes exactly" true ok1;
+  check Alcotest.(pair int int) "first pass misses every blob" (0, n) (hits1, misses1);
+  check Alcotest.bool "second pass decodes exactly" true ok2;
+  check Alcotest.(pair int int) "second pass hits every blob" (n, 0) (hits2, misses2);
+  check Alcotest.bytes "a mutated result does not reach a later hit" data.(0) mutated;
+  check Alcotest.(pair int int) "the limit wipes the table" (limit, 1)
+    (past_limit.M.s_evictions, past_limit.M.s_resident)
+
 (* ---- FNV-1a against the byte-at-a-time reference ---- *)
 
 let fnv1a_reference seed b ~pos ~len =
@@ -729,6 +779,8 @@ let () =
           rc_encode_within_is_bounded_encode;
           Alcotest.test_case "encode_within extremes" `Quick rc_encode_within_extremes;
           Alcotest.test_case "forged length rejected" `Quick rc_forged_length_rejected;
+          Alcotest.test_case "decode memo keeps a recurring working set" `Quick
+            rc_decode_memo_working_set;
         ] );
       ( "delta",
         [
