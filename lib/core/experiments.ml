@@ -367,7 +367,7 @@ let fault_campaign ctx ?(drops = [ 0.0; 0.01; 0.05; 0.1 ]) ?(windows = [ 1; 4 ])
                 total_s = o.Orchestrate.total_s;
                 retransmits = o.Orchestrate.retransmits;
                 degraded_entries =
-                  Grt_sim.Counters.get_int o.Orchestrate.counters "net.degraded_entries";
+                  Grt_sim.Counters.read o.Orchestrate.counters Grt_sim.Metrics.Net_degraded_entries;
                 rollbacks = o.Orchestrate.rollbacks;
                 link_downs = o.Orchestrate.link_downs;
                 blob_identical = Bytes.equal o.Orchestrate.blob reference.Orchestrate.blob;
@@ -403,7 +403,6 @@ type memsync_sweep_row = {
 
 let memsync_variants =
   [
-    ("legacy", fun c -> { c with Mode.memsync_dirty = false });
     ("dirty", fun (c : Mode.config) -> c);
     ("dirty+dedup", fun c -> { c with Mode.memsync_dedup = true });
     ( "dirty+dedup+adaptive",
@@ -755,7 +754,7 @@ let fleet ?(options = Service.default_fleet) ?(sequential = false)
   let host_s = Float.max (now () -. t0) 1e-9 in
   let st = Service.stats svc in
   let agg = Service.aggregate svc reports in
-  let g k = Grt_sim.Counters.get_int agg (Grt_sim.Metrics.name k) in
+  let g = Grt_sim.Counters.read agg in
   let turnarounds =
     Array.of_list (List.map (fun r -> r.Service.turnaround_s) reports)
   in

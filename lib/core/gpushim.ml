@@ -20,7 +20,7 @@ type t = {
   worlds : Worlds.t;
   monitor : Grt_tee.Monitor.t;
   uplink : Memsync.t;
-  metrics : Metrics.t option;
+  counters : Grt_sim.Counters.t option;
   mutable isolated : bool;
 }
 
@@ -52,7 +52,7 @@ let create ~clock ~sku ?energy ?counters ~session_salt ~cfg () =
     worlds;
     monitor;
     uplink = Memsync.create cfg;
-    metrics = Option.map Metrics.of_counters counters;
+    counters;
     isolated = false;
   }
 
@@ -77,7 +77,7 @@ let isolated t = t.isolated
 
 exception Not_isolated
 
-let count t key = match t.metrics with Some m -> Metrics.incr m key | None -> ()
+let count t key = match t.counters with Some c -> Grt_sim.Counters.incr c key | None -> ()
 
 let require_isolation t = if not t.isolated then raise Not_isolated
 

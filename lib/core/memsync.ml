@@ -527,13 +527,12 @@ let sync_meta t mem =
   let pfns = mf.mf_pfns and last = mf.mf_last in
   let total = Array.length pfns in
   let tagged = tagged_wire t.cfg in
-  let dirty_filter = t.cfg.Mode.memsync_dirty in
   let records = ref [] and wire = ref 0 and raw = ref 0 and visited = ref 0 in
   for i = 0 to total - 1 do
     let pfn = Array.unsafe_get pfns i in
     let gen = Mem.page_gen_at mem pfn in
     let seen = Array.unsafe_get last i in
-    let unchanged = dirty_filter && seen >= 0 && gen <= seen in
+    let unchanged = seen >= 0 && gen <= seen in
     if not unchanged then begin
       incr visited;
       Array.unsafe_set last i gen;

@@ -14,8 +14,8 @@
     Naive mode its *model-scale* size is charged per referenced buffer.
 
     The fast path: {!Grt_gpu.Mem.page_gen} stamps let [sync_meta] skip pages
-    untouched since their last examination ([Mode.memsync_dirty]); the page-
-    table walk is cached and invalidated by the same stamps, and each
+    untouched since their last examination (always on: it only saves
+    visits, the wire is the same); the page-table walk is cached and invalidated by the same stamps, and each
     metastate region registration merges its page range into a flat sorted
     set (data regions leave it alone). With [Mode.memsync_dedup] /
     [Mode.memsync_adaptive] the wire switches to tagged page records

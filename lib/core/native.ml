@@ -4,8 +4,7 @@ module Sexpr = Grt_util.Sexpr
 module Metrics = Grt_sim.Metrics
 
 let backend ?counters dev =
-  let metrics = Option.map Metrics.of_counters counters in
-  let count key = match metrics with Some m -> Metrics.incr m key | None -> () in
+  let count key = match counters with Some c -> Grt_sim.Counters.incr c key | None -> () in
   let clock = Device.clock dev in
   let read_reg reg =
     count Metrics.Reg_reads;

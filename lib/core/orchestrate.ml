@@ -161,7 +161,7 @@ let attempt_loop (ctx : Ctx.t) ~devicetree =
          locally while the channel re-establishes. Responses to commits
          still in flight were never validated, so they are replayed live. *)
       let valid_log = Drivershim.validated_prefix shim in
-      Metrics.add ctx.metrics Metrics.Recovery_link_downs 1;
+      Grt_sim.Counters.incr ctx.counters Metrics.Recovery_link_downs;
       Tracer.span_opt ctx.tracer ~cat:Tracer.Rollback_recovery
         ~args:[ ("cause", "link_down") ] ~name:"rollback" (fun () ->
           Hist.record_opt ctx.hists Hist.Rollback_depth (List.length valid_log);

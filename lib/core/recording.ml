@@ -54,7 +54,7 @@ let output_slot t = List.find_opt (fun s -> s.kind = `Output) t.slots
 let param_slots t = List.filter (fun s -> s.kind = `Param) t.slots
 
 let magic = 0x47525452 (* "GRTR" *)
-let version = 1
+let version_flat = 1 (* [serialize]'s header; no parser accepts it *)
 let version_chunked = 2
 
 let default_chunk_entries = 64
@@ -188,7 +188,7 @@ let read_slot r =
 let serialize t =
   let buf = Byte_buf.create ~capacity:4096 () in
   Byte_buf.add_u32 buf magic;
-  Byte_buf.add_u16 buf version;
+  Byte_buf.add_u16 buf version_flat;
   Byte_buf.add_string buf t.workload;
   Byte_buf.add_i64 buf t.gpu_id;
   Byte_buf.add_varint buf (List.length t.slots);
@@ -197,25 +197,9 @@ let serialize t =
   Array.iter (add_entry buf) t.entries;
   Byte_buf.contents buf
 
-let deserialize data =
-  try
-    let r = Byte_buf.Reader.of_bytes data in
-    if Byte_buf.Reader.u32 r <> magic then Error "recording: bad magic"
-    else if Byte_buf.Reader.u16 r <> version then Error "recording: unsupported version"
-    else begin
-      let workload = Byte_buf.Reader.string r in
-      let gpu_id = Byte_buf.Reader.i64 r in
-      let n_slots = read_count r ~min_bytes:20 in
-      let slots = List.init n_slots (fun _ -> read_slot r) in
-      let n_entries = read_count r ~min_bytes:2 in
-      let entries = Array.init n_entries (fun _ -> read_entry r) in
-      Ok { workload; gpu_id; entries; slots }
-    end
-  with Failure msg -> Error msg
+(* ---- the signed blob (version 2) ----
 
-(* ---- chunked format (version 2) ----
-
-   The v2 blob splits the entry log into chunks so verification can stream:
+   The blob splits the entry log into chunks so verification can stream:
 
      header  := magic ∥ u16 2 ∥ workload ∥ gpu_id ∥ slots
                 ∥ varint total_entries ∥ varint n_chunks
@@ -238,15 +222,9 @@ type chunk = {
 
 type verified = {
   vrec : t;
-  vversion : int;
   vchunks : chunk array;
   vroot : int64;
 }
-
-let entries_bytes entries =
-  let buf = Byte_buf.create ~capacity:4096 () in
-  Array.iter (add_entry buf) entries;
-  Byte_buf.contents buf
 
 (* Merkle fold over the leaf hashes: pairwise [Hashing.combine], odd leaf
    promoted; a single leaf is its own root; zero leaves hash the empty
@@ -265,13 +243,6 @@ let merkle_root hashes =
   in
   up hashes
 
-let sign_v1 ~key t =
-  let body = serialize t in
-  let buf = Byte_buf.create ~capacity:(Bytes.length body + 8) () in
-  Byte_buf.add_bytes buf body;
-  Byte_buf.add_i64 buf (Grt_tee.Crypto.mac ~key body);
-  Byte_buf.contents buf
-
 (* Serialize the whole entry log once, recording where each chunk of
    [chunk_entries] entries ends: [bounds.(i)] is the byte offset at which
    chunk [i] starts, [bounds.(n_chunks)] the total length. Chunk bodies and
@@ -289,144 +260,37 @@ let chunk_bounds ~chunk_entries entries =
   bounds.(n_chunks) <- Byte_buf.length buf;
   (Byte_buf.contents buf, bounds)
 
-(* [sign] is a pure function of its inputs, and the recording service
-   re-signs byte-identical logs whenever an evicted workload is recorded
-   again. A small content-keyed memo therefore short-circuits the work on
-   repeats; a hit is trusted only after comparing the stored input in
-   full, so collisions cannot leak a wrong blob.
-
-   The memo is keyed on the *entry stream* rather than the serialized
-   body, so a hit skips the chunk serialization pass as well as the FNV
-   walk: scalar fields mix into the key directly, page payloads via the
-   sparse word-sampled hash, and the hit guard is a structural comparison
-   with [Bytes.equal] on every payload. The stored snapshot deep-copies
-   payload bytes, so callers that keep mutating their page buffers cannot
-   poison the memo. *)
-let memo_cap = 32
-
-let entry_mix h v = (h lxor v) * 0x100000001B3
-
-let entry_key h = function
-  | Reg_write { reg; value } -> entry_mix (entry_mix h (1 + reg)) (Int64.to_int value)
-  | Reg_read { reg; value; verify } ->
-    entry_mix (entry_mix (entry_mix h 2) (reg lxor Int64.to_int value)) (if verify then 3 else 4)
-  | Poll { reg; mask; cond; max_iters; spin_ns } ->
-    let h = entry_mix (entry_mix h 5) (reg lxor Int64.to_int mask) in
-    entry_mix
-      (entry_mix h (match cond with Until_set -> 6 | Until_clear -> 7))
-      (max_iters lxor Int64.to_int spin_ns)
-  | Wait_irq { line } -> entry_mix h (8 + line)
-  | Mem_load { pages } ->
-    List.fold_left
-      (fun h (pfn, b) -> Grt_util.Hashing.quick_sparse ~seed:(entry_mix h (Int64.to_int pfn)) b)
-      (entry_mix h 9) pages
-  | Mem_load_enc { records } ->
-    List.fold_left
-      (fun h (pfn, enc, b) ->
-        let h = entry_mix (entry_mix h (Int64.to_int pfn)) (Memsync.encoding_to_int enc) in
-        Grt_util.Hashing.quick_sparse ~seed:h b)
-      (entry_mix h 10) records
-
-let entry_eq a b =
-  match (a, b) with
-  | Reg_write x, Reg_write y -> x.reg = y.reg && Int64.equal x.value y.value
-  | Reg_read x, Reg_read y ->
-    x.reg = y.reg && Int64.equal x.value y.value && x.verify = y.verify
-  | Poll x, Poll y ->
-    x.reg = y.reg && Int64.equal x.mask y.mask && x.cond = y.cond && x.max_iters = y.max_iters
-    && Int64.equal x.spin_ns y.spin_ns
-  | Wait_irq x, Wait_irq y -> x.line = y.line
-  | Mem_load x, Mem_load y ->
-    List.equal
-      (fun (p, b) (q, c) -> Int64.equal p q && Bytes.equal b c)
-      x.pages y.pages
-  | Mem_load_enc x, Mem_load_enc y ->
-    List.equal
-      (fun (p, e, b) (q, f, c) -> Int64.equal p q && e = f && Bytes.equal b c)
-      x.records y.records
-  | _ -> false
-
-let entries_eq a b = Array.length a = Array.length b && Array.for_all2 entry_eq a b
-
-let entry_copy = function
-  | Mem_load { pages } -> Mem_load { pages = List.map (fun (p, b) -> (p, Bytes.copy b)) pages }
-  | Mem_load_enc { records } ->
-    Mem_load_enc { records = List.map (fun (p, e, b) -> (p, e, Bytes.copy b)) records }
-  | e -> e
-
-(* Domain-local, like every content-keyed memo: parallel fleet shards sign
-   against private tables. *)
-let sign_memo_key : (int, bytes * entry array * bytes) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let sign_stats = Grt_util.Memo_stats.register "recording.sign"
-
 let sign ?(chunk_entries = default_chunk_entries) ~key t =
   if chunk_entries <= 0 then invalid_arg "Recording.sign: chunk_entries must be positive";
-  let sign_memo = Domain.DLS.get sign_memo_key in
-  let meta_buf = Byte_buf.create ~capacity:256 () in
-  Byte_buf.add_varint meta_buf chunk_entries;
-  Byte_buf.add_string meta_buf key;
-  Byte_buf.add_string meta_buf t.workload;
-  Byte_buf.add_i64 meta_buf t.gpu_id;
-  Byte_buf.add_varint meta_buf (List.length t.slots);
-  List.iter (add_slot meta_buf) t.slots;
-  let meta = Byte_buf.contents meta_buf in
-  let memo_key = Array.fold_left entry_key (Grt_util.Hashing.quick meta) t.entries in
-  match Hashtbl.find_opt sign_memo memo_key with
-  | Some (m, es, blob) when Bytes.equal m meta && entries_eq es t.entries ->
-    Grt_util.Memo_stats.hit sign_stats;
-    Bytes.copy blob
-  | prior ->
-    Grt_util.Memo_stats.miss sign_stats;
-    (match prior with
-    | Some _ -> Grt_util.Memo_stats.mismatch sign_stats
-    | None -> ());
-    let body, bounds = chunk_bounds ~chunk_entries t.entries in
-    let n = Array.length t.entries in
-    let n_chunks = Array.length bounds - 1 in
-    let hashes =
-      Array.init n_chunks (fun i ->
-          Grt_util.Hashing.fnv1a_sub body ~pos:bounds.(i) ~len:(bounds.(i + 1) - bounds.(i)))
-    in
-    let header = Byte_buf.create ~capacity:4096 () in
-    Byte_buf.add_u32 header magic;
-    Byte_buf.add_u16 header version_chunked;
-    Byte_buf.add_string header t.workload;
-    Byte_buf.add_i64 header t.gpu_id;
-    Byte_buf.add_varint header (List.length t.slots);
-    List.iter (add_slot header) t.slots;
-    Byte_buf.add_varint header n;
-    Byte_buf.add_varint header n_chunks;
-    Array.iteri
-      (fun i h ->
-        Byte_buf.add_varint header (min chunk_entries (n - (i * chunk_entries)));
-        Byte_buf.add_varint header (bounds.(i + 1) - bounds.(i));
-        Byte_buf.add_i64 header h)
-      hashes;
-    Byte_buf.add_i64 header (merkle_root (Array.to_list hashes));
-    let hdr = Byte_buf.contents header in
-    let blob = Byte_buf.create ~capacity:(Bytes.length hdr + 8 + Bytes.length body) () in
-    Byte_buf.add_bytes blob hdr;
-    Byte_buf.add_i64 blob (Grt_tee.Crypto.mac ~key hdr);
-    Byte_buf.add_bytes blob body;
-    let blob = Byte_buf.contents blob in
-    (* Resident footprint: meta + blob copies (the entry-spine snapshot is
-       shared page bytes, not counted). *)
-    let footprint = Bytes.length meta + Bytes.length blob in
-    if Hashtbl.length sign_memo >= memo_cap then begin
-      Grt_util.Memo_stats.evicted sign_stats ~entries:(Hashtbl.length sign_memo);
-      Hashtbl.reset sign_memo
-    end;
-    (match (Hashtbl.mem sign_memo memo_key, prior) with
-    | false, _ -> Grt_util.Memo_stats.added sign_stats ~bytes:footprint
-    | true, Some (m, _, b) ->
-      Grt_util.Memo_stats.replaced sign_stats
-        ~old_bytes:(Bytes.length m + Bytes.length b)
-        ~bytes:footprint
-    | true, None -> ());
-    Hashtbl.replace sign_memo memo_key (meta, Array.map entry_copy t.entries, Bytes.copy blob);
-    blob
+  let body, bounds = chunk_bounds ~chunk_entries t.entries in
+  let n = Array.length t.entries in
+  let n_chunks = Array.length bounds - 1 in
+  let hashes =
+    Array.init n_chunks (fun i ->
+        Grt_util.Hashing.fnv1a_sub body ~pos:bounds.(i) ~len:(bounds.(i + 1) - bounds.(i)))
+  in
+  let header = Byte_buf.create ~capacity:4096 () in
+  Byte_buf.add_u32 header magic;
+  Byte_buf.add_u16 header version_chunked;
+  Byte_buf.add_string header t.workload;
+  Byte_buf.add_i64 header t.gpu_id;
+  Byte_buf.add_varint header (List.length t.slots);
+  List.iter (add_slot header) t.slots;
+  Byte_buf.add_varint header n;
+  Byte_buf.add_varint header n_chunks;
+  Array.iteri
+    (fun i h ->
+      Byte_buf.add_varint header (min chunk_entries (n - (i * chunk_entries)));
+      Byte_buf.add_varint header (bounds.(i + 1) - bounds.(i));
+      Byte_buf.add_i64 header h)
+    hashes;
+  Byte_buf.add_i64 header (merkle_root (Array.to_list hashes));
+  let hdr = Byte_buf.contents header in
+  let blob = Byte_buf.create ~capacity:(Bytes.length hdr + 8 + Bytes.length body) () in
+  Byte_buf.add_bytes blob hdr;
+  Byte_buf.add_i64 blob (Grt_tee.Crypto.mac ~key hdr);
+  Byte_buf.add_bytes blob body;
+  Byte_buf.contents blob
 
 let parse_chunk_entries chunk =
   let r = Byte_buf.Reader.of_bytes chunk.chunk_raw in
@@ -434,11 +298,9 @@ let parse_chunk_entries chunk =
   if Byte_buf.Reader.remaining r <> 0 then failwith "recording: trailing bytes in chunk";
   entries
 
-(* Parse + verify the MACed part of either blob format. For v1 that is the
-   whole blob (entry bodies included); for v2 only the header — chunk
-   bodies are parsed, and their lengths checked, but their hashes are the
-   caller's to verify (eagerly in [verify_and_parse], streamingly in the
-   replay compiler). *)
+(* Parse + verify the MACed header. Chunk bodies are parsed, and their
+   lengths checked, but their hashes are the caller's to verify (eagerly in
+   [verify_and_parse], streamingly in the replay compiler). *)
 let parse_signed ~key blob =
   try
     let n = Bytes.length blob in
@@ -448,25 +310,6 @@ let parse_signed ~key blob =
       if Byte_buf.Reader.u32 r <> magic then Error "recording: bad magic"
       else begin
         match Byte_buf.Reader.u16 r with
-        | 1 ->
-          if n < 8 then Error "recording: truncated"
-          else begin
-            let body = Bytes.sub blob 0 (n - 8) in
-            let tag = Bytes.get_int64_le blob (n - 8) in
-            if not (Grt_tee.Crypto.verify ~key body tag) then
-              Error "recording: signature verification failed"
-            else
-              match deserialize body with
-              | Error e -> Error e
-              | Ok rec_t ->
-                Ok
-                  {
-                    vrec = rec_t;
-                    vversion = 1;
-                    vchunks = [||];
-                    vroot = Grt_util.Hashing.fnv1a_bytes (entries_bytes rec_t.entries);
-                  }
-          end
         | 2 ->
           let workload = Byte_buf.Reader.string r in
           let gpu_id = Byte_buf.Reader.i64 r in
@@ -504,7 +347,7 @@ let parse_signed ~key blob =
             else if !first <> total_entries then Error "recording: chunk entry counts disagree with header"
             else
               let entries = Array.concat (Array.to_list (Array.map parse_chunk_entries chunks)) in
-              Ok { vrec = { workload; gpu_id; entries; slots }; vversion = 2; vchunks = chunks; vroot = root }
+              Ok { vrec = { workload; gpu_id; entries; slots }; vchunks = chunks; vroot = root }
           end
         | v -> Error (Printf.sprintf "recording: unsupported version %d" v)
       end

@@ -59,26 +59,22 @@ val output_slot : t -> slot option
 val param_slots : t -> slot list
 
 val serialize : t -> bytes
-(** Version-1 flat body (no signature): the legacy on-wire entry log. *)
-
-val deserialize : bytes -> (t, string) result
+(** Flat unsigned encoding of the whole recording, entry log in one piece.
+    Nothing parses it back: it measures a recording ({!size_bytes}). *)
 
 val default_chunk_entries : int
 (** Entries per chunk used by [sign] unless overridden (64). *)
 
 val sign : ?chunk_entries:int -> key:Grt_tee.Crypto.key -> t -> bytes
-(** Signed version-2 chunked blob — the artifact the client downloads.
+(** Signed chunked blob (version 2, the only format a replayer accepts) —
+    the artifact the client downloads.
     The entry log is split into chunks of [chunk_entries]; the signed
     header carries each chunk's FNV hash and their Merkle root, so a
     replayer can verify chunks as it streams them. *)
 
-val sign_v1 : key:Grt_tee.Crypto.key -> t -> bytes
-(** Legacy version-1 blob: flat body with an appended MAC. Still produced
-    by old cloud services; [verify_and_parse] accepts both formats. *)
-
 val verify_and_parse : key:Grt_tee.Crypto.key -> bytes -> (t, string) result
-(** Full eager verification: signature, and for v2 blobs every chunk hash
-    and the Merkle root. Accepts v1 and v2 blobs. *)
+(** Full eager verification: header signature, every chunk hash and the
+    Merkle root. Any other version field is an [Error]. *)
 
 (** {2 Streaming access}
 
@@ -94,16 +90,14 @@ type chunk = {
 
 type verified = {
   vrec : t;
-  vversion : int;  (** wire version the blob used: 1 or 2 *)
-  vchunks : chunk array;  (** empty for v1 blobs (verified up front) *)
+  vchunks : chunk array;
   vroot : int64;  (** Merkle root over chunk hashes — the recording's identity *)
 }
 
 val parse_signed : key:Grt_tee.Crypto.key -> bytes -> (verified, string) result
-(** Verify the MACed portion (whole blob for v1, header for v2) and parse.
-    v2 chunk bodies are {e not} hash-checked here — callers stream-verify
-    them with [verify_chunk], or use [verify_and_parse] for the eager
-    contract. *)
+(** Verify the MACed header and parse. Chunk bodies are {e not}
+    hash-checked here — callers stream-verify them with [verify_chunk], or
+    use [verify_and_parse] for the eager contract. *)
 
 val verify_chunk : chunk -> bool
 (** [verify_chunk c] recomputes [c.chunk_raw]'s hash against the signed

@@ -27,7 +27,7 @@ val create :
   cloud_mem:Grt_gpu.Mem.t ->
   downlink:Memsync.t ->
   clock:Grt_sim.Clock.t ->
-  ?metrics:Grt_sim.Metrics.t ->
+  ?counters:Grt_sim.Counters.t ->
   ?trace:Grt_sim.Trace.t ->
   log:Recording.log ->
   sniff:(int -> int64 -> unit) ->

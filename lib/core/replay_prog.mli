@@ -8,11 +8,9 @@
     decoded once at compile time wherever the records are
     position-independent. Compile once, replay many — the batch fast path.
 
-    Verification of version-2 blobs is {e streaming}: {!of_blob} checks the
-    signed header only, and the executor ({!Replayer.replay_compiled})
-    checks each chunk's hash just before that chunk's ops run. Version-1
-    blobs are verified in full up front (their MAC covers the whole body)
-    and compile to a single pre-checked group. *)
+    Verification is {e streaming}: {!of_blob} checks the signed header
+    only, and the executor ({!Replayer.replay_compiled}) checks each
+    chunk's hash just before that chunk's ops run. *)
 
 type op =
   | Write_run of { regs : int array; values : int64 array }
@@ -51,8 +49,7 @@ type op =
 
 type group = {
   ops : op array;
-  chunk : Recording.chunk option;
-      (** the signed chunk backing these ops; [None] for v1 blobs *)
+  chunk : Recording.chunk;  (** the signed chunk backing these ops *)
   mutable checked : bool;  (** chunk hash verified (streaming, once) *)
 }
 
@@ -68,14 +65,12 @@ type stats = {
 type t = {
   source : Recording.t;
   root : int64;  (** Merkle root over chunk hashes — the identity attested *)
-  wire_version : int;
   groups : group array;
   stats : stats;
 }
 
 val source : t -> Recording.t
 val root : t -> int64
-val wire_version : t -> int
 val stats : t -> stats
 
 val compile : ?tracer:Grt_sim.Tracer.t -> Recording.verified -> t

@@ -78,8 +78,8 @@ val replay_compiled :
   unit ->
   result
 (** The fast path: execute a compiled replay program (see {!Replay_prog}).
-    Compile once, call this per replay — parse, wire-record decode and (for
-    v2 blobs) chunk-hash verification are not repeated; each chunk's hash
+    Compile once, call this per replay — parse, wire-record decode and
+    chunk-hash verification are not repeated; each chunk's hash
     is checked just before its first execution (streaming), polls reuse the
     first-success iteration learned by the previous execution, and decoded
     memory images are reused. Semantics — outputs, verification, divergence

@@ -29,8 +29,7 @@ let runtime_version = Cloudvm.default_image.Cloudvm.image_name
    A recording is reusable across clients exactly when it was produced by
    the same GPU stack for the same workload on the same silicon with the
    same wire format. The key folds each of those dimensions with FNV-1a;
-   only the recording-format-bearing mode flags participate (dirty tracking
-   is wire-invariant, so it is deliberately excluded). *)
+   only the recording-format-bearing mode flags participate. *)
 
 let flag b = if b then 1L else 0L
 
@@ -153,7 +152,6 @@ type t = {
       (* (net, sku) -> speculation history shared across all sessions of
          that pair, whatever their mode flags (§7.3) *)
   svc : Counters.t;
-  svc_m : Metrics.t;  (* typed write-through view over [svc] *)
   svc_clock : Clock.t;
       (* service-plane timeline: advanced (never yielded) to each admission's
          arrival, so service events carry fleet-global timestamps *)
@@ -176,7 +174,6 @@ let create ?(cache_capacity = 0) () =
     keyed_tbl = Hashtbl.create 64;
     histories = Hashtbl.create 16;
     svc;
-    svc_m = Metrics.of_counters svc;
     svc_clock;
     svc_trace = Trace.create ~capacity:1024 svc_clock;
     touch_seq = 0;
@@ -204,7 +201,6 @@ let observation t = t.obs
 
 type worker = {
   w_svc : Counters.t;
-  w_svc_m : Metrics.t;
   w_clock : Clock.t;
   w_trace : Trace.t;
   w_obs : observation option;
@@ -214,7 +210,6 @@ type worker = {
 let worker_of t =
   {
     w_svc = t.svc;
-    w_svc_m = t.svc_m;
     w_clock = t.svc_clock;
     w_trace = t.svc_trace;
     w_obs = t.obs;
@@ -339,7 +334,7 @@ let evict_if_full t ~for_client =
     | Some e ->
       Hashtbl.remove t.cache e.keyed.key;
       e.keyed.evictions <- e.keyed.evictions + 1;
-      Metrics.incr t.svc_m Metrics.Svc_evictions;
+      Counters.incr t.svc Metrics.Svc_evictions;
       let blob_bytes = match e.blob with Some b -> Bytes.length b | None -> 0 in
       Trace.event t.svc_trace
         (Trace.Evict { label = e.keyed.label; client = for_client; blob_bytes });
@@ -383,7 +378,7 @@ let decide t (spec : client_spec) =
       (* resident but its recording failed: this client retries *)
       touch_entry e;
       e.inflight <- true;
-      Metrics.incr t.svc_m Metrics.Svc_cache_misses;
+      Counters.incr t.svc Metrics.Svc_cache_misses;
       Trace.event t.svc_trace (Trace.Rearm { label = e.keyed.label; client = spec.client_id });
       D_record e
     | None ->
@@ -401,7 +396,7 @@ let decide t (spec : client_spec) =
         }
       in
       Hashtbl.replace t.cache key e;
-      Metrics.incr t.svc_m Metrics.Svc_cache_misses;
+      Counters.incr t.svc Metrics.Svc_cache_misses;
       D_record e
   in
   (match t.obs with
@@ -478,7 +473,7 @@ let serve w spec (e : entry) ctx ~coalesced =
       (fun () -> Orchestrate.serve_cached ctx ~blob)
   | None -> Orchestrate.serve_cached ctx ~blob);
   e.keyed.hits <- e.keyed.hits + 1;
-  Metrics.incr w.w_svc_m (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
+  Counters.incr w.w_svc (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
   report_of ctx spec e
     (if coalesced then Coalesced else Cache_hit)
     ~blob_bytes:(Bytes.length blob)
@@ -499,22 +494,22 @@ let record_into w spec (e : entry) ctx =
   with
   | outcome ->
     let cross = Spec_history.cross_hits history - cross0 in
-    if cross > 0 then Metrics.add ctx.Ctx.metrics Metrics.Spec_cross_hits cross;
+    if cross > 0 then Counters.add ctx.Ctx.counters Metrics.Spec_cross_hits cross;
     e.blob <- Some (Bytes.copy outcome.Orchestrate.blob);
     e.inflight <- false;
     e.keyed.recordings <- e.keyed.recordings + 1;
-    Metrics.incr w.w_svc_m Metrics.Svc_recordings;
+    Counters.incr w.w_svc Metrics.Svc_recordings;
     report_of ctx spec e (Recorded outcome) ~blob_bytes:(Bytes.length outcome.Orchestrate.blob)
   | exception exn ->
     e.inflight <- false;
-    Metrics.incr w.w_svc_m Metrics.Svc_failures;
+    Counters.incr w.w_svc Metrics.Svc_failures;
     report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
 
 (* Report a client that never got a session body to run. [ctx] is the
    session's real context, so turnaround and counters reflect any wait the
    client actually spent (not a fresh zeroed clock). *)
 let fail_report w spec (e : entry) ctx msg =
-  Metrics.incr w.w_svc_m Metrics.Svc_failures;
+  Counters.incr w.w_svc Metrics.Svc_failures;
   report_of ctx spec e (Failed msg) ~blob_bytes:0
 
 (* A serve can fail live (ARQ collapse on a degraded channel, verification
@@ -522,7 +517,7 @@ let fail_report w spec (e : entry) ctx msg =
 let serve_safe w spec (e : entry) ctx ~coalesced =
   try serve w spec e ctx ~coalesced
   with exn ->
-    Metrics.incr w.w_svc_m Metrics.Svc_failures;
+    Counters.incr w.w_svc Metrics.Svc_failures;
     report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
 
 (* ---- sequential execution ----
@@ -535,7 +530,7 @@ let run_sequential t specs =
   let w = worker_of t in
   List.mapi
     (fun i spec ->
-      Metrics.incr t.svc_m Metrics.Svc_sessions;
+      Counters.incr t.svc Metrics.Svc_sessions;
       let d = decide t spec in
       let ctx = start_session w spec ~order:i d in
       match d with
@@ -657,10 +652,10 @@ let exec_sessions aux sched w reports plans =
             es.e_elected <- Some wid;
             e.inflight <- true;
             promoted := Some wid;
-            Metrics.incr w.w_svc_m Metrics.Svc_promotions;
+            Counters.incr w.w_svc Metrics.Svc_promotions;
             (* the promoted waiter re-records: the miss a sequential run
                would charge at its retry arrival *)
-            Metrics.incr w.w_svc_m Metrics.Svc_cache_misses;
+            Counters.incr w.w_svc Metrics.Svc_cache_misses;
             Clock.advance_to w.w_clock
               (Int64.add spec.arrival_ns (Clock.now_ns ctx.Ctx.clock));
             Trace.event w.w_trace (Trace.Promote { label = e.keyed.label; client = wid });
@@ -750,7 +745,7 @@ let plan_fleet t aux specs =
     List.mapi
       (fun i (spec : client_spec) ->
         Hashtbl.replace aux.decision_idx spec.client_id i;
-        Metrics.incr t.svc_m Metrics.Svc_sessions;
+        Counters.incr t.svc Metrics.Svc_sessions;
         let d = decide t spec in
         (match d with
         | D_record e ->
@@ -910,12 +905,10 @@ let run_multiplexed ~domains t specs =
       let observing = t.obs <> None in
       let mk plans_k =
         let sched = Sched.create () in
-        let c = Counters.create () in
         let w_clock = Clock.create () in
         let w =
           {
-            w_svc = c;
-            w_svc_m = Metrics.of_counters c;
+            w_svc = Counters.create ();
             w_clock;
             w_trace = Trace.create ~capacity:1024 w_clock;
             w_obs = (if observing then Some (new_observation_over w_clock) else None);
@@ -1096,7 +1089,7 @@ type stats = {
 }
 
 let stats t =
-  let get k = Metrics.get_int t.svc_m k in
+  let get k = Counters.read t.svc k in
   let resident, resident_bytes =
     Hashtbl.fold
       (fun _ e (n, b) ->

@@ -32,7 +32,7 @@ val runtime_version : string
 
 val cache_key : cfg:Mode.config -> sku:Grt_gpu.Sku.t -> net:Grt_mlfw.Network.t -> key
 (** FNV-1a over (network, SKU, runtime version, recording-format mode
-    flags). Wire-invariant knobs (dirty tracking) are excluded. *)
+    flags). *)
 
 val key_label : cfg:Mode.config -> sku:Grt_gpu.Sku.t -> net:Grt_mlfw.Network.t -> string
 (** Human-readable form of the key's components. *)

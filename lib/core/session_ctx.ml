@@ -29,7 +29,6 @@ type t = {
   clock : Grt_sim.Clock.t;
   energy : Grt_sim.Energy.t;
   counters : Grt_sim.Counters.t;
-  metrics : Grt_sim.Metrics.t;
   trace : Grt_sim.Trace.t;
   tracer : Grt_sim.Tracer.t option;
   hists : Grt_sim.Hist.set option;
@@ -88,7 +87,6 @@ let create ?(options = default_options) ?clock ~cfg ~profile ~sku ~net ~seed ~gr
     clock;
     energy;
     counters;
-    metrics = Grt_sim.Metrics.of_counters counters;
     trace;
     tracer;
     hists;
@@ -108,4 +106,4 @@ let charge_rollback t cost =
   Grt_sim.Clock.advance_s t.clock cost;
   Grt_sim.Clock.yield t.clock
 
-let stat t key = Grt_sim.Metrics.get_int t.metrics key
+let stat t key = Grt_sim.Counters.read t.counters key

@@ -3,10 +3,10 @@
     One [t] is created per recording session and threaded through the
     pipeline stages (establish → boot → attempt loop → finalize/sign)
     in place of long optional-argument plumbing: the virtual clock, the
-    client energy model, the counter set with its typed {!Grt_sim.Metrics}
-    view, the diagnostic {!Grt_sim.Trace} ring (shared by the link and the
-    driver shim), the seeded link, and the speculation history — plus the
-    mutable rollback accounting the attempt loop updates. *)
+    client energy model, the {!Grt_sim.Counters} set, the diagnostic
+    {!Grt_sim.Trace} ring (shared by the link and the driver shim), the
+    seeded link, and the speculation history — plus the mutable rollback
+    accounting the attempt loop updates. *)
 
 (** The session's optional knobs, gathered into one record (callers
     override individual fields of {!default_options}). *)
@@ -39,7 +39,6 @@ type t = {
   clock : Grt_sim.Clock.t;
   energy : Grt_sim.Energy.t;
   counters : Grt_sim.Counters.t;
-  metrics : Grt_sim.Metrics.t;  (** typed view over [counters] *)
   trace : Grt_sim.Trace.t;  (** link + shim event ring, dumped on failure *)
   tracer : Grt_sim.Tracer.t option;  (** span tracer; present iff [observe] *)
   hists : Grt_sim.Hist.set option;  (** latency/size histograms; iff [observe] *)
@@ -63,7 +62,7 @@ val create :
   granularity:[ `Monolithic | `Per_layer ] ->
   unit ->
   t
-(** Build the session infrastructure: clock, energy, counters/metrics,
+(** Build the session infrastructure: clock, energy, counters,
     trace ring, and the link (fault-seeded from [seed]). [plan] is
     [Grt_mlfw.Network.expand net], expanded once per structurally distinct
     network on the calling domain and shared (physically) by every context

@@ -59,7 +59,7 @@ type t = {
   link : Link.t;
   gpushim : Gpushim.t;
   cloud_mem : Grt_gpu.Mem.t;
-  metrics : Metrics.t option;
+  counters : Grt_sim.Counters.t option;
   trace : Grt_sim.Trace.t option;
   tracer : Tracer.t option;
   hists : Hist.set option;
@@ -109,13 +109,12 @@ let sniff_root_and_head ~gpushim ~downlink ~head reg v =
 
 let create ~cfg ~link ~gpushim ~cloud_mem ?counters ?trace ?tracer ?hists ?history ?sync_store
     ?(wire_overhead = 0) ?(replay_prefix = []) () =
-  let metrics = Option.map Metrics.of_counters counters in
   let downlink = Memsync.create ?shared:sync_store cfg in
   let head = { lo = 0L; hi = 0L } in
   let log = Recording.new_log () in
   let sniff = sniff_root_and_head ~gpushim ~downlink ~head in
   let recovery =
-    Recovery.create ~cfg ~gpushim ~cloud_mem ~downlink ~clock:(Link.clock link) ?metrics ?trace
+    Recovery.create ~cfg ~gpushim ~cloud_mem ~downlink ~clock:(Link.clock link) ?counters ?trace
       ~log ~sniff replay_prefix
   in
   {
@@ -123,7 +122,7 @@ let create ~cfg ~link ~gpushim ~cloud_mem ?counters ?trace ?tracer ?hists ?histo
     link;
     gpushim;
     cloud_mem;
-    metrics;
+    counters;
     trace;
     tracer;
     hists;
@@ -152,7 +151,7 @@ let create ~cfg ~link ~gpushim ~cloud_mem ?counters ?trace ?tracer ?hists ?histo
     in_poll_loop = false;
   }
 
-let count t key v = match t.metrics with Some m -> Metrics.add m key v | None -> ()
+let count t key v = match t.counters with Some c -> Grt_sim.Counters.add c key v | None -> ()
 
 let queue_ref t = match t.cur_thread with Main -> t.main_queue | Irq -> t.irq_queue
 
@@ -284,11 +283,11 @@ let drain_oldest t =
    runs keep byte-identical counter dumps. *)
 let note_inflight_depth t =
   if t.cfg.Mode.max_inflight > 0 || Link.window t.link > 1 then
-    match t.metrics with
-    | Some m ->
+    match t.counters with
+    | Some c ->
       let depth = List.length t.outstanding in
-      let hw = Metrics.get_int m Metrics.Spec_inflight_hw in
-      if depth > hw then Metrics.add m Metrics.Spec_inflight_hw (depth - hw)
+      let hw = Grt_sim.Counters.read c Metrics.Spec_inflight_hw in
+      if depth > hw then Grt_sim.Counters.add c Metrics.Spec_inflight_hw (depth - hw)
     | None -> ()
 
 (* Ship a speculated commit asynchronously and queue it for validation when

@@ -26,7 +26,7 @@ type t = {
   mutable profile : Profile.t;
   clock : Grt_sim.Clock.t;
   energy : Grt_sim.Energy.t option;
-  metrics : Metrics.t option;
+  counters : Grt_sim.Counters.t option;
   trace : Trace.t option;
   tracer : Tracer.t option;
   hists : Hist.set option;
@@ -53,7 +53,7 @@ let create ~clock ?energy ?counters ?trace ?tracer ?hists ?(seed = 0x4C494E4BL) 
     profile;
     clock;
     energy;
-    metrics = Option.map Metrics.of_counters counters;
+    counters;
     trace;
     tracer;
     hists;
@@ -79,7 +79,7 @@ let clock t = t.clock
 let health t = t.health
 let inject_outage_after t n = t.outage_countdown <- Some n
 
-let count t key v = match t.metrics with Some m -> Metrics.add m key v | None -> ()
+let count t key v = match t.counters with Some c -> Grt_sim.Counters.add c key v | None -> ()
 
 let set_profile t p =
   (* Windowed sends still in flight were priced under the old profile; drain
@@ -415,7 +415,7 @@ let one_way_from_client t ~bytes =
       ignore (deliver_at t (Grt_sim.Clock.now_int t.clock)));
   Grt_sim.Clock.yield t.clock
 
-let counter_int t key = match t.metrics with Some m -> Metrics.get_int m key | None -> 0
+let counter_int t key = match t.counters with Some c -> Grt_sim.Counters.read c key | None -> 0
 
 let blocking_rtts t = counter_int t Metrics.Net_blocking_rtts
 let stall_waits t = counter_int t Metrics.Net_stall_waits
@@ -423,6 +423,6 @@ let retransmits t = counter_int t Metrics.Net_retransmits
 let window_stalls t = counter_int t Metrics.Net_window_stalls
 let inflight t = t.pipe_count
 
-let bytes_tx t = match t.metrics with Some m -> Metrics.get m Metrics.Net_bytes_tx | None -> 0L
+let bytes_tx t = Int64.of_int (counter_int t Metrics.Net_bytes_tx)
 
-let bytes_rx t = match t.metrics with Some m -> Metrics.get m Metrics.Net_bytes_rx | None -> 0L
+let bytes_rx t = Int64.of_int (counter_int t Metrics.Net_bytes_rx)

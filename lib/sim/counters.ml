@@ -1,34 +1,42 @@
-type t = (string, int64 ref) Hashtbl.t
+(* One slot per key. [written] keeps "absent" apart from "zero": a key
+   shows up in [to_alist] (and so in [pp] dumps and reports) once anything
+   was added to it, even 0. *)
+type t = { values : int array; written : bool array }
 
-let create () : t = Hashtbl.create 64
+let n_keys = List.length Metrics.all
 
-let cell t name =
-  match Hashtbl.find_opt t name with
-  | Some c -> c
-  | None ->
-    let c = ref 0L in
-    Hashtbl.add t name c;
-    c
+let create () = { values = Array.make n_keys 0; written = Array.make n_keys false }
 
-let add64 t name v =
-  let c = cell t name in
-  c := Int64.add !c v
+let add t k v =
+  let i = Metrics.index k in
+  t.values.(i) <- t.values.(i) + v;
+  t.written.(i) <- true
 
-let add t name v = add64 t name (Int64.of_int v)
+let incr t k = add t k 1
+let read t k = t.values.(Metrics.index k)
 
-let incr t name = add t name 1
+let get_int t name = match Metrics.of_name name with Some k -> read t k | None -> 0
+let get t name = Int64.of_int (get_int t name)
 
-let get t name = match Hashtbl.find_opt t name with Some c -> !c | None -> 0L
-
-let get_int t name = Int64.to_int (get t name)
-
-let reset t = Hashtbl.reset t
+(* Keys in [to_alist] order, sorted once. *)
+let by_name =
+  Array.of_list (List.sort (fun a b -> String.compare (Metrics.name a) (Metrics.name b)) Metrics.all)
 
 let to_alist t =
-  Hashtbl.fold (fun k c acc -> (k, !c) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  Array.fold_right
+    (fun k acc ->
+      let i = Metrics.index k in
+      if t.written.(i) then (Metrics.name k, Int64.of_int t.values.(i)) :: acc else acc)
+    by_name []
 
-let merge_into ~dst ~src = List.iter (fun (k, v) -> add64 dst k v) (to_alist src)
+let merge_into ~dst ~src =
+  Array.iteri
+    (fun i w ->
+      if w then begin
+        dst.values.(i) <- dst.values.(i) + src.values.(i);
+        dst.written.(i) <- true
+      end)
+    src.written
 
 let pp ppf t =
   List.iter (fun (k, v) -> Format.fprintf ppf "%-40s %Ld@\n" k v) (to_alist t)

@@ -11,7 +11,7 @@
     min/max.
 
     A {!set} is the session-wide registry: one histogram per typed {!key},
-    threaded as an [option] beside the metrics handle so default runs pay
+    threaded as an [option] beside the counter set so default runs pay
     nothing and stay byte-identical. *)
 
 type t

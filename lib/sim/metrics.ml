@@ -164,10 +164,7 @@ let all =
 
 let of_name s = List.find_opt (fun k -> String.equal (name k) s) all
 
-(* Dense ordinal of a key, in declaration order; [n_keys] bounds the cell
-   cache below. Kept in lock-step with [name]. *)
-let n_keys = 65
-
+(* Dense ordinal of a key, in declaration order (its position in [all]). *)
 let index = function
   | Net_msgs -> 0
   | Net_bytes_tx -> 1
@@ -234,40 +231,3 @@ let index = function
   | Svc_failures -> 62
   | Svc_evictions -> 63
   | Svc_promotions -> 64
-
-(* Write-through onto a legacy counter set: the typed spine and the stringly
-   world always agree, and [Counters.pp] output is byte-identical to what it
-   was when every call site spelled the name out. Each typed key caches the
-   counter's live cell (shared with the string table) the first time it is
-   bumped, so the steady-state cost of a bump is an array load and an int64
-   add -- no string hashing. Cells are cached lazily, never eagerly: a key
-   that is read but never bumped must stay absent from [Counters.to_alist].
-*)
-type t = { counters : Counters.t; cells : int64 ref option array }
-
-let create () = { counters = Counters.create (); cells = Array.make n_keys None }
-let of_counters counters = { counters; cells = Array.make n_keys None }
-let to_counters t = t.counters
-
-let cell t k =
-  let i = index k in
-  match Array.unsafe_get t.cells i with
-  | Some c -> c
-  | None ->
-    let c = Counters.cell t.counters (name k) in
-    t.cells.(i) <- Some c;
-    c
-
-let add64 t k v =
-  let c = cell t k in
-  c := Int64.add !c v
-
-let add t k v = add64 t k (Int64.of_int v)
-let incr t k = add t k 1
-
-(* Reads go through the string table so they neither create a cell nor
-   observe anything the stringly API would not. *)
-let get t k = Counters.get t.counters (name k)
-let get_int t k = Counters.get_int t.counters (name k)
-
-let pp ppf t = Counters.pp ppf t.counters

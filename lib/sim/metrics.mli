@@ -1,16 +1,11 @@
-(** Typed metric registry — the telemetry spine of the recorder.
+(** The counter key schema — the telemetry spine of the recorder.
 
     Every statistic the engine layers account (link exchanges, register
     traffic, commit pipeline, speculation, polling offload, memory sync,
-    recovery, the client-side shim) has a variant key here, so a typo in a
-    counter name is a compile error and the set of metrics is enumerable.
-
-    A [t] is a thin write-through wrapper over a legacy {!Counters.t}: every
-    typed [add]/[incr] lands on the counter named {!name}[ key], which keeps
-    [Counters.pp] dumps, test assertions on counter strings, and merged
-    counter sets byte-identical to the stringly-typed era. Use
-    {!to_counters} to hand the underlying set to code that still speaks
-    strings. *)
+    recovery, the client-side shim, the recording service) has a variant
+    key here, so a typo in a counter name is a compile error and the set of
+    counters is enumerable. The values live in {!Counters}; this module
+    only names the keys. *)
 
 type key =
   | Net_msgs
@@ -96,29 +91,14 @@ type key =
           the next arrival instead, so this reads 0 there) *)
 
 val name : key -> string
-(** Legacy counter name of a key (e.g. [Net_blocking_rtts] ->
-    ["net.blocking_rtts"]). *)
+(** Printed counter name of a key (e.g. [Net_blocking_rtts] ->
+    ["net.blocking_rtts"]): what [Counters.pp] and by-name reads use. *)
 
 val all : key list
 (** Every key, in declaration order. *)
 
+val index : key -> int
+(** Position of a key in {!all}: a dense ordinal for array-backed stores. *)
+
 val of_name : string -> key option
-(** Inverse of {!name}; [None] for counters outside the typed set. *)
-
-type t
-
-val create : unit -> t
-(** Fresh registry over a private counter set. *)
-
-val of_counters : Counters.t -> t
-(** Typed view over an existing counter set; writes land in [counters]. *)
-
-val to_counters : t -> Counters.t
-(** The underlying counter set (the legacy-name bridge). *)
-
-val add : t -> key -> int -> unit
-val add64 : t -> key -> int64 -> unit
-val incr : t -> key -> unit
-val get : t -> key -> int64
-val get_int : t -> key -> int
-val pp : Format.formatter -> t -> unit
+(** Inverse of {!name}; [None] for a name outside the schema. *)

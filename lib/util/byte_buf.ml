@@ -69,7 +69,9 @@ module Reader = struct
 
   let remaining r = Bytes.length r.src - r.pos
 
-  let need r n = if remaining r < n then failwith "Byte_buf.Reader: truncated input"
+  let need r n =
+    if n < 0 then failwith "Byte_buf.Reader: negative length";
+    if remaining r < n then failwith "Byte_buf.Reader: truncated input"
 
   let u8 r =
     need r 1;
@@ -93,9 +95,12 @@ module Reader = struct
     r.pos <- r.pos + 8;
     v
 
+  (* [add_varint] writes at most [max_int]: nine 7-bit groups, the ninth
+     below 0x40. Anything longer would wrap into a negative int. *)
   let varint r =
     let rec go shift acc =
       let b = u8 r in
+      if shift = 56 && b >= 0x40 then failwith "Byte_buf.Reader: varint exceeds 62 bits";
       let acc = acc lor ((b land 0x7F) lsl shift) in
       if b land 0x80 = 0 then acc else go (shift + 7) acc
     in

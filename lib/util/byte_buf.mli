@@ -22,9 +22,10 @@ val add_sub : t -> bytes -> pos:int -> len:int -> unit
 val add_string : t -> string -> unit
 (** Length-prefixed string. *)
 
-(** Sequential reader over a [bytes] value. All [read_*] functions raise
-    [Failure] on truncated input — deliberately, since recordings are
-    integrity-checked before parsing. *)
+(** Sequential reader over a [bytes] value. Every reader raises [Failure]
+    on truncated input, and so do [varint] on an encoding that does not fit
+    a non-negative [int] and [bytes] on a negative length: callers that
+    parse untrusted input turn [Failure] into a typed error. *)
 module Reader : sig
   type r
 

@@ -63,25 +63,6 @@ let quick ?(seed = 0x1B873593) b =
   done;
   !h
 
-(* Sparse memo key for large buffers (recorded page payloads):
-   samples one 8-byte word per 64-byte cache line plus the tail word, so the
-   key costs an eighth of [quick]. Only safe where the memo verifies hits
-   with a full [Bytes.equal] — a collision between buffers differing solely
-   in unsampled bytes degrades to a recompute, never a wrong answer. *)
-let quick_sparse ?(seed = 0x1B873593) b =
-  let n = Bytes.length b in
-  if n < 128 then quick ~seed b
-  else begin
-    let h = ref (seed + n) in
-    let i = ref 0 in
-    while !i + 8 <= n do
-      h := (!h lxor Int64.to_int (Bytes.get_int64_le b !i)) * 0x100000001B3;
-      i := !i + 64
-    done;
-    h := (!h lxor Int64.to_int (Bytes.get_int64_le b (n - 8))) * 0x100000001B3;
-    !h
-  end
-
 let crc_table =
   lazy
     (let t = Array.make 256 0l in

@@ -26,12 +26,6 @@ val quick : ?seed:int -> bytes -> int
     input before trusting a hit). Roughly 5x the throughput of
     [fnv1a_bytes] on data without zero words. *)
 
-val quick_sparse : ?seed:int -> bytes -> int
-(** Like [quick] but samples one word per 64-byte line (falling back to
-    [quick] under 128 bytes). Intended for memo keys over large blobs where
-    the caller verifies hits with a full comparison; collisions merely cost
-    a recompute. *)
-
 val crc32 : bytes -> int32
 (** CRC-32 (IEEE polynomial), used for framing checksums on the simulated
     network channel. *)

@@ -1,15 +1,15 @@
 (** Process-wide profiling registry for the content-keyed memo tables.
 
-    The hot-path memos (range-coder decode, recording signing) are pure
-    caches: they can only change performance, never bytes. That also
-    makes them invisible — a memo that thrashes or whose quick-key
-    collides shows up as wall-clock, not as a counter. Each memo
-    registers one [t] here and bumps it from its own hit/miss branches, so
-    [bench speed --json] can attribute cache behaviour per memo.
+    The one hot-path memo left (range-coder decode, [rc.decode]) is a pure
+    cache: it can only change performance, never bytes. That also makes
+    it invisible — a memo that thrashes or whose quick-key collides shows
+    up as wall-clock, not as a counter. Each memo registers one [t] here
+    and bumps it from its own hit/miss branches, so [bench speed --json]
+    can attribute cache behaviour per memo.
 
     Counters are plain [int] cells on the host side of the simulation: they
-    are deliberately outside the virtual clock, the typed {!Metrics} plane
-    and every recorded blob, so instrumentation cannot perturb outcomes.
+    are deliberately outside the virtual clock, the {!Counters} plane and
+    every recorded blob, so instrumentation cannot perturb outcomes.
 
     Cells are *domain-local* (via [Domain.DLS]), matching the memo tables
     they profile: each domain counts against its own private caches, so a

@@ -74,7 +74,7 @@ let sample_recording () =
 
 let recording_roundtrip () =
   let r = sample_recording () in
-  match Recording.deserialize (Recording.serialize r) with
+  match Recording.verify_and_parse ~key:"cloudkey" (Recording.sign ~key:"cloudkey" r) with
   | Ok r' ->
     check Alcotest.string "workload" r.Recording.workload r'.Recording.workload;
     check Alcotest.int64 "gpu id" r.Recording.gpu_id r'.Recording.gpu_id;
@@ -160,7 +160,7 @@ let recording_qcheck_roundtrip =
              slots = [];
            }
          in
-         match Recording.deserialize (Recording.serialize r) with
+         match Recording.verify_and_parse ~key:"k" (Recording.sign ~key:"k" r) with
          | Ok r' -> r'.Recording.entries = r.Recording.entries
          | Error _ -> false))
 
@@ -185,7 +185,7 @@ let recording_qcheck_signature =
          | Ok _ -> false))
 
 let recording_garbage_rejected () =
-  match Recording.deserialize (Bytes.of_string "not a recording at all....") with
+  match Recording.verify_and_parse ~key:"k" (Bytes.of_string "not a recording at all....") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage parsed"
 
@@ -203,6 +203,24 @@ let recording_forged_count_rejected () =
   match Recording.verify_and_parse ~key:"k" (Grt_util.Byte_buf.contents forged) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "forged chunk count accepted"
+
+(* A varint that wraps past 62 bits reads as a negative length. It sits
+   in the header before the MAC, so a keyless forger reaches it: every
+   entry point must answer with a typed error, not [Invalid_argument]. *)
+let recording_forged_varint_rejected () =
+  let forged = Grt_util.Byte_buf.create () in
+  Grt_util.Byte_buf.add_u32 forged 0x47525452;
+  Grt_util.Byte_buf.add_u16 forged 2;
+  Grt_util.Byte_buf.add_bytes forged (Bytes.of_string "\x80\x80\x80\x80\x80\x80\x80\x80\x40");
+  let blob = Grt_util.Byte_buf.contents forged in
+  check Alcotest.int "15 bytes" 15 (Bytes.length blob);
+  let typed name = function
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted the forged blob" name
+  in
+  typed "parse_signed" (Recording.parse_signed ~key:"k" blob);
+  typed "verify_and_parse" (Recording.verify_and_parse ~key:"k" blob);
+  typed "Replay_prog.of_blob" (Grt.Replay_prog.of_blob ~key:"k" blob)
 
 (* ---- Memsync ---- *)
 
@@ -561,6 +579,7 @@ let () =
           Alcotest.test_case "counts and slots" `Quick recording_counts_and_slots;
           Alcotest.test_case "garbage rejected" `Quick recording_garbage_rejected;
           Alcotest.test_case "forged element count rejected" `Quick recording_forged_count_rejected;
+          Alcotest.test_case "forged varint length rejected" `Quick recording_forged_varint_rejected;
           recording_qcheck_roundtrip;
           recording_qcheck_signature;
         ] );

@@ -44,26 +44,19 @@ let mk_pair ?shared cfg ~pages =
 
 let all_flag_combos =
   List.concat_map
-    (fun dirty ->
+    (fun dedup ->
       List.concat_map
-        (fun dedup ->
+        (fun adaptive ->
           List.concat_map
-            (fun adaptive ->
-              List.concat_map
-                (fun delta ->
-                  List.map
-                    (fun compress -> (dirty, dedup, adaptive, delta, compress))
-                    [ true; false ])
-                [ true; false ])
+            (fun delta -> List.map (fun compress -> (dedup, adaptive, delta, compress)) [ true; false ])
             [ true; false ])
         [ true; false ])
     [ true; false ]
 
-let cfg_of_combo (dirty, dedup, adaptive, delta, compress) =
+let cfg_of_combo (dedup, adaptive, delta, compress) =
   {
     (Mode.default_config Mode.Ours_mds) with
-    Mode.memsync_dirty = dirty;
-    memsync_dedup = dedup;
+    Mode.memsync_dedup = dedup;
     memsync_adaptive = adaptive;
     delta_dumps = delta;
     compress_dumps = compress;
@@ -151,15 +144,6 @@ let visited_scales_with_dirty () =
   check Alcotest.int "scope unchanged" 64 p1.Memsync.total;
   let p2 = Memsync.sync_meta sender mem_s in
   check Alcotest.int "idle sync visits nothing" 0 p2.Memsync.visited
-
-let visited_full_rescan_when_disabled () =
-  let cfg = { (Mode.default_config Mode.Ours_mds) with Mode.memsync_dirty = false } in
-  let mem_s, _mem_r, sender, _receiver, first = mk_pair cfg ~pages:64 in
-  ignore (Memsync.sync_meta sender mem_s);
-  List.iter (fun i -> Mem.write_u8 mem_s (addr_of first i) 0xAB) [ 1; 7; 42 ];
-  let p = Memsync.sync_meta sender mem_s in
-  check Alcotest.int "flag off rescans every meta page" 64 p.Memsync.visited;
-  check Alcotest.int "but still ships only the changes" 3 (List.length p.Memsync.records)
 
 (* ---- dedup ---- *)
 
@@ -252,8 +236,8 @@ let adaptive_matches_fold =
   qtest ~count:300 "bounded adaptive selection equals the four-candidate fold"
     QCheck2.Gen.(triple (pair gen_page_shape gen_edits) (option gen_page_shape) gen_edits)
     (fun ((shape0, edits0), shape1, edits1) ->
-      (* dirty tracking and adaptive selection on, dedup off *)
-      let cfg = cfg_of_combo (true, false, true, true, true) in
+      (* adaptive selection on, dedup off *)
+      let cfg = cfg_of_combo (false, true, true, true) in
       let mem_s, _, sender, _, pfn = mk_pair cfg ~pages:1 in
       let first = page_of_shape shape0 edits0 in
       (* the second page edits the first, or replaces it outright *)
@@ -294,7 +278,7 @@ let adaptive_tie_keeps_raw () =
   with
   | None -> Alcotest.fail "no noise prefix codes to exactly one page"
   | Some k -> (
-    let mem_s, _, sender, _, pfn = mk_pair (cfg_of_combo (true, false, true, true, true)) ~pages:1 in
+    let mem_s, _, sender, _, pfn = mk_pair (cfg_of_combo (false, true, true, true)) ~pages:1 in
     let ship name contents =
       Mem.set_page mem_s pfn contents;
       match (Memsync.sync_meta sender mem_s).Memsync.records with
@@ -333,7 +317,7 @@ let adaptive_delta_tie_keeps_delta () =
   match List.find_opt tie grid with
   | None -> Alcotest.fail "no noise prefix gives a delta+rc tie"
   | Some ak -> (
-    let cfg = cfg_of_combo (true, false, true, true, true) in
+    let cfg = cfg_of_combo (false, true, true, true) in
     let mem_s, _, sender, _, pfn = mk_pair cfg ~pages:1 in
     Mem.set_page mem_s pfn base;
     ignore (Memsync.sync_meta sender mem_s);
@@ -375,7 +359,7 @@ let book_script =
 
 let run_session ?shared () =
   let mem_s, _, sender, _, first =
-    mk_pair ?shared (cfg_of_combo (true, true, true, true, true)) ~pages:region_pages
+    mk_pair ?shared (cfg_of_combo (true, true, true, true)) ~pages:region_pages
   in
   List.concat_map
     (fun round ->
@@ -466,7 +450,7 @@ let recording_roundtrips_tagged_records () =
       slots = [];
     }
   in
-  match Recording.deserialize (Recording.serialize r) with
+  match Recording.verify_and_parse ~key:"k" (Recording.sign ~key:"k" r) with
   | Ok r' ->
     check Alcotest.bool "entries survive the round trip" true
       (r'.Recording.entries = r.Recording.entries);
@@ -507,7 +491,6 @@ let () =
         [
           memsync_qcheck_reproduces;
           Alcotest.test_case "visited scales with dirtied pages" `Quick visited_scales_with_dirty;
-          Alcotest.test_case "full rescan when disabled" `Quick visited_full_rescan_when_disabled;
           Alcotest.test_case "dedup re-ships as hash reference" `Quick
             dedup_fires_on_reshipped_content;
           Alcotest.test_case "unknown hash reference rejected" `Quick hash_ref_unknown_rejected;

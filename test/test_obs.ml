@@ -429,12 +429,12 @@ let memo_stats_registry () =
     | None -> Alcotest.fail "rc.decode never registered"
   in
   check Alcotest.bool "second decode hits the memo" true (rc.M.s_hits >= 1);
-  (* the encode and page-hash memos cost more than they saved *)
+  (* the encode, page-hash and sign memos cost more than they saved *)
   List.iter
     (fun gone ->
       if List.exists (fun c -> M.name c = gone) (M.all ()) then
         Alcotest.failf "%s is still registered" gone)
-    [ "rc.encode"; "memsync.hash_page" ]
+    [ "rc.encode"; "memsync.hash_page"; "recording.sign" ]
 
 (* ---- Fleet reports: round trip, rendering, version skew ---- *)
 

@@ -1,6 +1,6 @@
 (* The replay compiler and its streaming verifier: differential equivalence
    against the interpreted replayer (property-tested and across the full
-   model zoo), streaming chunk-tamper detection, v1 blob compatibility,
+   model zoo), streaming chunk-tamper detection, version-1 blob rejection,
    replay attestation tokens, and the bench-row JSON schema. *)
 
 module Orchestrate = Grt.Orchestrate
@@ -89,11 +89,10 @@ let compile_stats_sensible () =
     st.Replay_prog.entries;
   check Alcotest.bool "write runs fused" true (st.Replay_prog.fused_writes > 0);
   check Alcotest.bool "memory image precompiled" true (st.Replay_prog.static_pages > 0);
-  check Alcotest.bool "ops below entries" true (st.Replay_prog.ops < st.Replay_prog.entries);
-  check Alcotest.int "v2 wire format" 2 (Replay_prog.wire_version prog)
+  check Alcotest.bool "ops below entries" true (st.Replay_prog.ops < st.Replay_prog.entries)
 
 let streaming_rejects_tampered_chunk () =
-  (* v2 layout is header ∥ mac ∥ chunk bodies: flipping the blob's last
+  (* The blob layout is header ∥ mac ∥ chunk bodies: flipping the blob's last
      byte corrupts a chunk body but leaves the signed header intact, so
      compilation (header-only verification) must succeed and the executor's
      streaming hash check must catch it mid-replay. *)
@@ -119,25 +118,25 @@ let tampered_header_rejected_at_compile () =
   | Ok _ -> Alcotest.fail "tampered header compiled"
   | Error _ -> ()
 
-let v1_blob_compiles_and_replays () =
-  (* Old-format blobs (whole-body MAC, no chunks) still verify, compile and
-     replay bit-identically. *)
+let version1_blob_rejected () =
+  (* The old flat format — the unsigned encoding with a MAC over all of
+     it — is no longer accepted, even correctly signed. *)
   let o = Lazy.force mnist_recording in
-  let v1 = Recording.sign_v1 ~key:Orchestrate.cloud_signing_key o.Orchestrate.recording in
-  let prog =
-    match Replay_prog.of_blob ~key:Orchestrate.cloud_signing_key v1 with
-    | Ok p -> p
-    | Error e -> Alcotest.fail ("v1 blob rejected: " ^ e)
-  in
-  check Alcotest.int "v1 wire format" 1 (Replay_prog.wire_version prog);
-  let i, c = replay_both ~blob:v1 ~net:Zoo.mnist ~input_seed:5L () in
-  check Alcotest.bool "v1 compiled bit-identical" true (i.Replayer.output = c.Replayer.output);
-  (* And a v1 blob tampered anywhere is rejected up front. *)
-  let bad = Bytes.copy v1 in
-  Bytes.set bad (Bytes.length bad - 1) '\x00';
-  match Replay_prog.of_blob ~key:Orchestrate.cloud_signing_key bad with
-  | Ok _ -> Alcotest.fail "tampered v1 blob compiled"
-  | Error _ -> ()
+  let key = Orchestrate.cloud_signing_key in
+  let body = Recording.serialize o.Orchestrate.recording in
+  let buf = Grt_util.Byte_buf.create () in
+  Grt_util.Byte_buf.add_bytes buf body;
+  Grt_util.Byte_buf.add_i64 buf (Grt_tee.Crypto.mac ~key body);
+  let v1 = Grt_util.Byte_buf.contents buf in
+  let want = Error "recording: unsupported version 1" in
+  check
+    Alcotest.(result reject string)
+    "parse_signed" want
+    (Result.map ignore (Recording.parse_signed ~key v1));
+  check
+    Alcotest.(result reject string)
+    "Replay_prog.of_blob" want
+    (Result.map ignore (Replay_prog.of_blob ~key v1))
 
 let divergence_releases_gpu () =
   (* An exception mid-execution must still reset and release the GPU so the
@@ -286,7 +285,7 @@ let () =
             streaming_rejects_tampered_chunk;
           Alcotest.test_case "tampered header rejected at compile" `Quick
             tampered_header_rejected_at_compile;
-          Alcotest.test_case "v1 blob compiles and replays" `Quick v1_blob_compiles_and_replays;
+          Alcotest.test_case "version-1 blob rejected" `Quick version1_blob_rejected;
           Alcotest.test_case "divergence releases GPU" `Quick divergence_releases_gpu;
         ] );
       ( "attestation",

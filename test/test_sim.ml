@@ -55,81 +55,93 @@ let clock_time_span () =
   check Alcotest.string "value" "done" v;
   check (Alcotest.float 1e-9) "span" 0.25 (Clock.span_s span)
 
-(* ---- Counters ---- *)
+(* ---- Counters (one dense store keyed by Metrics.key) ---- *)
+
+module K = Grt_sim.Metrics
 
 let counters_basic () =
   let t = Counters.create () in
-  Counters.incr t "a";
-  Counters.add t "a" 4;
-  Counters.add64 t "b" 7L;
-  check Alcotest.int64 "a" 5L (Counters.get t "a");
-  check Alcotest.int64 "b" 7L (Counters.get t "b");
-  check Alcotest.int64 "missing is zero" 0L (Counters.get t "zzz");
-  check Alcotest.int "get_int" 5 (Counters.get_int t "a")
+  Counters.incr t K.Net_msgs;
+  Counters.add t K.Net_msgs 4;
+  Counters.add t K.Net_bytes_tx 7;
+  check Alcotest.int "typed read" 5 (Counters.read t K.Net_msgs);
+  check Alcotest.int64 "by name" 7L (Counters.get t "net.bytes_tx");
+  check Alcotest.int "unwritten is zero" 0 (Counters.read t K.Net_drops);
+  check Alcotest.int64 "unknown name is zero" 0L (Counters.get t "zzz");
+  check Alcotest.int "get_int" 5 (Counters.get_int t "net.msgs")
 
 let counters_alist_sorted () =
   let t = Counters.create () in
-  Counters.incr t "zeta";
-  Counters.incr t "alpha";
-  check (Alcotest.list Alcotest.string) "sorted keys" [ "alpha"; "zeta" ]
+  Counters.incr t K.Svc_sessions;
+  Counters.incr t K.Commits_total;
+  check (Alcotest.list Alcotest.string) "sorted keys" [ "commits.total"; "svc.sessions" ]
     (List.map fst (Counters.to_alist t))
 
 let counters_merge () =
   let a = Counters.create () and b = Counters.create () in
-  Counters.add a "x" 2;
-  Counters.add b "x" 3;
-  Counters.add b "y" 1;
+  Counters.add a K.Reg_reads 2;
+  Counters.add b K.Reg_reads 3;
+  Counters.add b K.Reg_writes 1;
   Counters.merge_into ~dst:a ~src:b;
-  check Alcotest.int64 "merged x" 5L (Counters.get a "x");
-  check Alcotest.int64 "merged y" 1L (Counters.get a "y")
+  check Alcotest.int64 "merged reads" 5L (Counters.get a "reg.reads");
+  check Alcotest.int64 "merged writes" 1L (Counters.get a "reg.writes")
 
-let counters_reset () =
-  let t = Counters.create () in
-  Counters.incr t "a";
-  Counters.reset t;
-  check Alcotest.int64 "reset" 0L (Counters.get t "a")
+(* ---- Metrics keys over Counters ---- *)
 
-(* ---- Metrics (typed registry over Counters) ---- *)
-
+(* A typed write goes straight into the one store that by-name reads see.
+   A key is listed once written, even with 0; [merge_into] carries that
+   over. *)
 let metrics_write_through () =
+  let a = Counters.create () and b = Counters.create () in
+  Counters.incr a K.Net_blocking_rtts;
+  Counters.add a K.Net_blocking_rtts 2;
+  Counters.add a K.Sync_pages_visited 0;
+  Counters.add b K.Net_blocking_rtts 4;
+  Counters.add b K.Spec_cross_hits 0;
+  check Alcotest.int64 "typed write, read by name" 3L (Counters.get a "net.blocking_rtts");
+  check Alcotest.int "typed read" 3 (Counters.read a K.Net_blocking_rtts);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int64))
+    "written zero is listed"
+    [ ("net.blocking_rtts", 3L); ("sync.pages_visited", 0L) ]
+    (Counters.to_alist a);
+  Counters.merge_into ~dst:a ~src:b;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int64))
+    "merge sums"
+    [ ("net.blocking_rtts", 7L); ("spec.history_cross_hits", 0L); ("sync.pages_visited", 0L) ]
+    (Counters.to_alist a)
+
+(* The dump is [to_alist], one key per line, the name padded to 40
+   columns. *)
+let metrics_pp_matches_counters () =
   let c = Counters.create () in
-  let m = Grt_sim.Metrics.of_counters c in
-  Grt_sim.Metrics.incr m Grt_sim.Metrics.Net_blocking_rtts;
-  Grt_sim.Metrics.add m Grt_sim.Metrics.Net_blocking_rtts 2;
-  Grt_sim.Metrics.add64 m Grt_sim.Metrics.Sync_down_wire_bytes 40L;
-  (* Typed writes land on the legacy counter names... *)
-  check Alcotest.int64 "legacy name sees typed writes" 3L (Counters.get c "net.blocking_rtts");
-  check Alcotest.int64 "bytes" 40L (Counters.get c "sync.down_wire_bytes");
-  (* ...and typed reads see stringly writes, because it is the same set. *)
-  Counters.add c "net.blocking_rtts" 1;
-  check Alcotest.int "typed read" 4 (Grt_sim.Metrics.get_int m Grt_sim.Metrics.Net_blocking_rtts);
-  check Alcotest.bool "same underlying set" true (Grt_sim.Metrics.to_counters m == c)
+  Counters.add c K.Net_blocking_rtts 7;
+  Counters.add c K.Sync_up_wire_bytes 1234;
+  Counters.add c K.Spec_cross_hits 0;
+  let dump = Format.asprintf "%a" Counters.pp c in
+  check Alcotest.string "pp is the alist"
+    (String.concat ""
+       (List.map (fun (n, v) -> Printf.sprintf "%-40s %Ld\n" n v) (Counters.to_alist c)))
+    dump;
+  check Alcotest.string "pp layout"
+    (Printf.sprintf "%-40s 7\n%-40s 0\n%-40s 1234\n" "net.blocking_rtts" "spec.history_cross_hits"
+       "sync.up_wire_bytes")
+    dump
 
 let metrics_names_roundtrip () =
-  List.iter
-    (fun key ->
-      match Grt_sim.Metrics.of_name (Grt_sim.Metrics.name key) with
+  List.iteri
+    (fun i key ->
+      check Alcotest.int "index is the position in all" i (K.index key);
+      match K.of_name (K.name key) with
       | Some k -> check Alcotest.bool "roundtrip" true (k = key)
-      | None -> Alcotest.failf "of_name failed for %s" (Grt_sim.Metrics.name key))
-    Grt_sim.Metrics.all;
-  check (Alcotest.option Alcotest.reject) "unknown name" None
-    (Grt_sim.Metrics.of_name "no.such.counter");
-  (* Legacy names must stay unique or two keys would alias one counter. *)
-  let names = List.map Grt_sim.Metrics.name Grt_sim.Metrics.all in
+      | None -> Alcotest.failf "of_name failed for %s" (K.name key))
+    K.all;
+  check (Alcotest.option Alcotest.reject) "unknown name" None (K.of_name "no.such.counter");
+  (* Names must stay unique or two keys would alias one counter. *)
+  let names = List.map K.name K.all in
   check Alcotest.int "names unique" (List.length names)
     (List.length (List.sort_uniq compare names))
-
-let metrics_pp_matches_counters () =
-  (* The typed registry is a write-through view, so its dump must be the
-     counter dump, byte for byte. *)
-  let c = Counters.create () in
-  let m = Grt_sim.Metrics.of_counters c in
-  Grt_sim.Metrics.add m Grt_sim.Metrics.Net_blocking_rtts 7;
-  Grt_sim.Metrics.add64 m Grt_sim.Metrics.Sync_up_wire_bytes 1234L;
-  Counters.add c "custom.outside_typed_set" 5;
-  check Alcotest.string "pp byte-identical"
-    (Format.asprintf "%a" Counters.pp c)
-    (Format.asprintf "%a" Grt_sim.Metrics.pp m)
 
 (* ---- Energy ---- *)
 
@@ -237,7 +249,6 @@ let () =
           Alcotest.test_case "basic" `Quick counters_basic;
           Alcotest.test_case "alist sorted" `Quick counters_alist_sorted;
           Alcotest.test_case "merge" `Quick counters_merge;
-          Alcotest.test_case "reset" `Quick counters_reset;
         ] );
       ( "metrics",
         [

@@ -90,7 +90,7 @@ let byte_buf_varint_roundtrip () =
       Byte_buf.add_varint b v;
       let r = Byte_buf.Reader.of_bytes (Byte_buf.contents b) in
       check Alcotest.int (Printf.sprintf "varint %d" v) v (Byte_buf.Reader.varint r))
-    [ 0; 1; 127; 128; 255; 300; 16383; 16384; 1_000_000; max_int / 2 ]
+    [ 0; 1; 127; 128; 255; 300; 16383; 16384; 1_000_000; max_int / 2; max_int ]
 
 let byte_buf_varint_negative () =
   let b = Byte_buf.create () in
@@ -102,6 +102,25 @@ let byte_buf_truncation () =
   ignore (Byte_buf.Reader.u16 r);
   Alcotest.check_raises "truncated" (Failure "Byte_buf.Reader: truncated input") (fun () ->
       ignore (Byte_buf.Reader.u8 r))
+
+(* Forged lengths: a varint past 62 bits would wrap negative, and a
+   negative length must never reach [Bytes.sub]. Both are [Failure]. *)
+let byte_buf_forged_lengths () =
+  let reader s = Byte_buf.Reader.of_bytes (Bytes.of_string s) in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Failure _ -> ()
+  in
+  raises "wraps negative" (fun () ->
+      Byte_buf.Reader.varint (reader "\x80\x80\x80\x80\x80\x80\x80\x80\x40"));
+  raises "ten groups" (fun () ->
+      Byte_buf.Reader.varint (reader "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"));
+  raises "negative length" (fun () -> Byte_buf.Reader.bytes (reader "abcd") (-1));
+  raises "string of forged length" (fun () ->
+      Byte_buf.Reader.string (reader "\x80\x80\x80\x80\x80\x80\x80\x80\x40abcd"));
+  check Alcotest.int "largest 9-byte varint" max_int
+    (Byte_buf.Reader.varint (reader "\xff\xff\xff\xff\xff\xff\xff\xff\x3f"))
 
 let byte_buf_growth () =
   let b = Byte_buf.create ~capacity:1 () in
@@ -751,6 +770,7 @@ let () =
           Alcotest.test_case "varint roundtrip" `Quick byte_buf_varint_roundtrip;
           Alcotest.test_case "varint negative" `Quick byte_buf_varint_negative;
           Alcotest.test_case "truncation" `Quick byte_buf_truncation;
+          Alcotest.test_case "forged lengths" `Quick byte_buf_forged_lengths;
           Alcotest.test_case "growth" `Quick byte_buf_growth;
           Alcotest.test_case "clear" `Quick byte_buf_clear;
         ] );
